@@ -10,6 +10,10 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> dxbench tests (the benchmark's own package: its replay of the probe"
+echo "    and stage APIs must keep building and passing)"
+cargo test -q --manifest-path dxbench/Cargo.toml
+
 echo "==> dxlint self-test (fixture corpus must produce the pinned findings)"
 cargo run -q -p dogmatix_lint -- --self-test
 
@@ -31,6 +35,9 @@ PROPTEST_CASES=128 cargo test -q --test snapshot
 echo "==> WAL kill-and-recover differential + corruption matrix at CI depth (PROPTEST_CASES=128)"
 PROPTEST_CASES=128 cargo test -q --test wal
 
+echo "==> probe overlay vs append-last interning differential at CI depth (PROPTEST_CASES=512)"
+PROPTEST_CASES=512 cargo test -q --test probe_overlay
+
 echo "==> edit-distance kernel differential suite at CI depth (PROPTEST_CASES=256)"
 PROPTEST_CASES=256 cargo test -q -p dogmatix_textsim --test kernel_differential
 
@@ -41,8 +48,9 @@ echo "==> scaling bench sanity (sharded wall-clock must not exceed unsharded;"
 echo "    columnar comparison phase must not regress past the recorded baseline)"
 cargo bench -q -p dogmatix_bench --bench scaling >/dev/null
 
-echo "==> probe bench sanity (mixed probe+ingest load; p99 gated against the"
-echo "    recorded baseline, candidate sets must stay sublinear in |Omega|)"
+echo "==> probe bench sanity (probe cost on a 4x corpus must stay under 2x;"
+echo "    mixed probe+ingest load: p99 gated against the recorded baseline,"
+echo "    candidate sets must stay sublinear in |Omega|)"
 cargo bench -q -p dogmatix_bench --bench probe >/dev/null
 test -s BENCH_probe.json || { echo "BENCH_probe.json was not written"; exit 1; }
 

@@ -1,14 +1,22 @@
 //! Point-query (probe) latency and candidate-set sublinearity.
 //!
-//! Before the criterion group runs, a **serving sanity pass** drives a
-//! real `dogmatixd` with mixed probe + ingest load over TCP: several
-//! prober connections hammer `PROBE` while an ingest connection inserts
-//! new records (each publishing a fresh snapshot). The pass records
-//! per-probe wall clock and the `examined=<e>/<t>` counters the server
-//! reports, then
+//! Before the criterion group runs, a **scaling gate** times in-process
+//! `ProbeSnapshot::probe` with MinHash-LSH blocking (bounded examined
+//! sets) at `CORPUS_N` and at `SCALE × CORPUS_N` originals, records
+//! both `query_us` values and examined fractions in `BENCH_probe.json`,
+//! and asserts that a probe on the larger corpus costs less than
+//! `MAX_SCALE_COST ×` one on the small corpus: probe cost must follow
+//! the examined candidates, not `|Ω|`.
+//!
+//! A **serving sanity pass** then drives a real `dogmatixd` with mixed
+//! probe + ingest load over TCP: several prober connections hammer
+//! `PROBE` while an ingest connection inserts new records (each
+//! publishing a fresh snapshot). The pass records per-probe wall clock
+//! and the `examined=<e>/<t>` counters the server reports, then
 //!
 //! * writes `BENCH_probe.json` at the repo root (p50/p99 micros,
-//!   examined fraction, throughput counters),
+//!   examined fraction, throughput counters, the scaling gate's
+//!   figures),
 //! * gates probe p99 against the recorded baseline
 //!   (`baselines/probe.txt`, `DOGMATIX_BASELINE_ALLOWANCE` to widen on a
 //!   slower box), and
@@ -35,6 +43,17 @@ const PROBES_PER_THREAD: usize = 60;
 const PROBER_THREADS: usize = 3;
 const INGESTS: usize = 12;
 const PROBE_K: usize = 10;
+/// Corpus growth factor of the scaling gate.
+const SCALE: usize = 4;
+/// A probe on the `SCALE×` corpus must cost less than this multiple of
+/// a probe on the `CORPUS_N` corpus (a cost linear in `|Ω|` would be
+/// about `SCALE`).
+const MAX_SCALE_COST: f64 = 2.0;
+/// Records the scaling gate probes, passes over them per timed round,
+/// and rounds.
+const SCALE_PROBES: usize = 48;
+const SCALE_PASSES: usize = 20;
+const SCALE_ROUNDS: usize = 7;
 
 fn qgram() -> ProbeBlocking {
     ProbeBlocking::QGram(QGramBlocking::new(2, dogmatix_eval::setup::THETA_TUPLE))
@@ -47,6 +66,16 @@ fn qgram() -> ProbeBlocking {
 /// still reported in `BENCH_probe.json` via the criterion group).
 fn lsh() -> ProbeBlocking {
     ProbeBlocking::Lsh(MinHashLshBlocking::new(48, 2))
+}
+
+/// The scaling gate's blocking: 24 bands of 4 rows surface near-
+/// duplicates only, so the examined count stays bounded as the corpus
+/// grows (about 2 candidates per probe at both sizes). The serving
+/// pass's 48×2 bands admit any pair sharing ~20% of its tokens: they
+/// examine a near-constant ~5% of `|Ω|`, i.e. a count that grows with
+/// the corpus and would hide what the gate measures.
+fn scaling_lsh() -> ProbeBlocking {
+    ProbeBlocking::Lsh(MinHashLshBlocking::new(24, 4))
 }
 
 /// One timed pass of mixed load against a freshly booted server.
@@ -152,7 +181,100 @@ fn percentile(sorted: &[Duration], p: f64) -> Duration {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-fn serving_sanity() {
+/// In-process probe cost at one corpus size.
+struct ScalePoint {
+    corpus_n: usize,
+    /// Mean `ProbeSnapshot::probe` time per record, best round.
+    query_us: f64,
+    /// Mean examined fraction of `|Ω|`.
+    examined_frac: f64,
+}
+
+/// Times in-process LSH probes of `SCALE_PROBES` corpus records on a CD
+/// corpus of `n` originals: the mean per-probe time of the best of
+/// `SCALE_ROUNDS` rounds of `SCALE_PASSES` passes (after one warm-up
+/// pass).
+fn scale_point(n: usize) -> ScalePoint {
+    let fixture = CdFixture::dataset1(n);
+    let dx = fixture.detector(HeuristicExpr::k_closest_descendants(6), true);
+    let snapshot = ProbeSnapshot::from_batch(
+        &dx,
+        &fixture.doc,
+        &fixture.schema,
+        dogmatix_eval::setup::CD_TYPE,
+        scaling_lsh(),
+    )
+    .expect("build probe snapshot");
+    let records: Vec<_> = fixture
+        .doc
+        .select("/discs/disc")
+        .expect("select discs")
+        .iter()
+        .take(SCALE_PROBES)
+        .map(|&node| {
+            snapshot
+                .record_from_xml(&fixture.doc.node_xml(node))
+                .expect("resolve probe record")
+        })
+        .collect();
+    let mut scratch = ProbeScratch::new();
+    let mut examined = 0.0;
+    for record in &records {
+        let answer = snapshot
+            .probe(record, PROBE_K, &mut scratch)
+            .expect("probe runs");
+        examined +=
+            answer.stats.candidates_examined as f64 / answer.stats.total_objects.max(1) as f64;
+    }
+    let mut best = f64::INFINITY;
+    for _ in 0..SCALE_ROUNDS {
+        let started = Instant::now();
+        for _ in 0..SCALE_PASSES {
+            for record in &records {
+                criterion::black_box(
+                    snapshot
+                        .probe(record, PROBE_K, &mut scratch)
+                        .expect("probe runs"),
+                );
+            }
+        }
+        let probes = (SCALE_PASSES * records.len()) as f64;
+        best = best.min(started.elapsed().as_secs_f64() * 1e6 / probes);
+    }
+    ScalePoint {
+        corpus_n: n,
+        query_us: best,
+        examined_frac: examined / records.len() as f64,
+    }
+}
+
+/// The scaling gate: probe cost on a `SCALE×` corpus stays below
+/// `MAX_SCALE_COST×` the cost on the base corpus.
+fn scaling_gate() -> [ScalePoint; 2] {
+    let small = scale_point(CORPUS_N);
+    let large = scale_point(SCALE * CORPUS_N);
+    let ratio = large.query_us / small.query_us;
+    println!(
+        "scaling gate (in-process LSH probes): {:.0}µs at n={} ({:.1}% examined), \
+         {:.0}µs at n={} ({:.1}% examined) — {ratio:.2}x for {SCALE}x the corpus",
+        small.query_us,
+        small.corpus_n,
+        small.examined_frac * 100.0,
+        large.query_us,
+        large.corpus_n,
+        large.examined_frac * 100.0,
+    );
+    assert!(
+        ratio < MAX_SCALE_COST,
+        "probe cost grows with |Ω|: {ratio:.2}x for {SCALE}x the corpus \
+         (limit {MAX_SCALE_COST}x; {:.0}µs vs {:.0}µs)",
+        large.query_us,
+        small.query_us
+    );
+    [small, large]
+}
+
+fn serving_sanity(scaling: &[ScalePoint; 2]) {
     let fixture = CdFixture::dataset1(CORPUS_N);
     let fragments: Vec<String> = fixture
         .doc
@@ -208,16 +330,25 @@ fn serving_sanity() {
          (allowance {allowance}x)"
     );
 
+    let [small, large] = scaling;
     let json = format!(
         "{{\n  \"corpus\": \"cd_dataset1\",\n  \"corpus_n\": {CORPUS_N},\n  \
          \"probes\": {},\n  \"concurrent_ingests\": {INGESTS},\n  \
          \"probe_p50_micros\": {},\n  \"probe_p99_micros\": {},\n  \
-         \"examined_mean_fraction\": {:.4},\n  \"examined_max_fraction\": {:.4}\n}}\n",
+         \"examined_mean_fraction\": {:.4},\n  \"examined_max_fraction\": {:.4},\n  \
+         \"scaling_corpus_n\": [{}, {}],\n  \"scaling_query_us\": [{:.1}, {:.1}],\n  \
+         \"scaling_examined_fraction\": [{:.4}, {:.4}]\n}}\n",
         latencies.len(),
         p50.as_micros(),
         p99.as_micros(),
         mean_fraction,
         max_fraction,
+        small.corpus_n,
+        large.corpus_n,
+        small.query_us,
+        large.query_us,
+        small.examined_frac,
+        large.examined_frac,
     );
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_probe.json");
     std::fs::write(out, json).expect("write BENCH_probe.json");
@@ -231,7 +362,8 @@ fn serving_sanity() {
 }
 
 fn bench_probe(c: &mut Criterion) {
-    serving_sanity();
+    let scaling = scaling_gate();
+    serving_sanity(&scaling);
 
     let fixture = CdFixture::dataset1(CORPUS_N);
     let dx = fixture.detector(HeuristicExpr::k_closest_descendants(6), true);

@@ -337,12 +337,6 @@ impl SimilarityMeasure for TreeEditMeasure {
             candidates: ctx.candidates,
         })
     }
-
-    /// Walks the live document subtrees, so it cannot score a probe
-    /// record that exists only as raw tuples.
-    fn store_based(&self) -> bool {
-        false
-    }
 }
 
 fn cache_distance(

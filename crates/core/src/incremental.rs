@@ -451,15 +451,7 @@ impl IncrementalSession {
         blocking: crate::probe::ProbeBlocking,
     ) -> Result<crate::probe::ProbeSnapshot, DogmatixError> {
         dx.validate()?;
-        if !dx.measure_stage().store_based() {
-            return Err(DogmatixError::Config {
-                message: format!(
-                    "measure {:?} walks the document and cannot score probe records; \
-                     use a store-based measure",
-                    dx.measure_stage()
-                ),
-            });
-        }
+        crate::probe::ensure_probe_capable(dx.measure_stage().as_ref())?;
         let prev = self.prev.as_ref().ok_or_else(|| DogmatixError::Snapshot {
             message: "no detection state to publish — run detect_delta first".into(),
         })?;
@@ -490,21 +482,12 @@ impl IncrementalSession {
                     .into(),
             });
         }
-        let mut parts: Vec<Arc<Vec<RawTuple>>> = Vec::with_capacity(self.candidates.len());
-        for &node in &self.candidates.nodes {
-            parts.push(Arc::clone(self.extraction.get(&node).ok_or_else(|| {
-                DogmatixError::Snapshot {
-                    message: format!("extraction cache misses candidate node {node}"),
-                }
-            })?));
-        }
         Ok(crate::probe::ProbeSnapshot::from_parts(
             Arc::new(self.doc.clone()),
             self.candidates.nodes.clone(),
             self.candidates.schema_paths.clone(),
             selections,
             self.mapping.clone(),
-            parts,
             Arc::clone(&prev.ods),
             Arc::clone(&prev.measure),
             Arc::clone(&prev.classifier),

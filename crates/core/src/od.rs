@@ -347,6 +347,13 @@ impl OdSet {
         self.od_group_starts[i] as usize..self.od_group_starts[i + 1] as usize
     }
 
+    /// Number of type groups across all ODs (the first global group
+    /// index an appended object would get).
+    #[inline]
+    pub(crate) fn group_count(&self) -> usize {
+        self.group_types.len()
+    }
+
     /// Type id of global group `g`.
     #[inline]
     pub(crate) fn group_type(&self, g: usize) -> u32 {

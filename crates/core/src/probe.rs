@@ -4,24 +4,44 @@
 //! three.
 //!
 //! A [`ProbeSnapshot`] pins everything a point-query needs: the
-//! candidate nodes, their cached raw OD tuples, the interned
-//! [`OdSet`], the similarity/classifier stage `Arc`s, and a one-sided
-//! blocking index ([`crate::filter::QGramTermIndex`] /
+//! candidate nodes, the interned [`OdSet`], a `(type, norm) → term`
+//! lookup over it, the similarity/classifier stage `Arc`s, and a
+//! one-sided blocking index ([`crate::filter::QGramTermIndex`] /
 //! [`crate::filter::LshBucketIndex`]). Snapshots are immutable — a
 //! server swaps an `Arc<ProbeSnapshot>` at delta-batch boundaries while
 //! probe threads keep reading the one they pinned.
 //!
 //! ### Why probe answers equal batch verdicts
 //!
-//! [`ProbeSnapshot::probe`] re-interns the snapshot's cached raw tuples
-//! with the probe record appended **last**. First-occurrence interning
-//! means every stored term/type/path id is unchanged by the append
-//! (pinned by the `build_from_raw` differential tests), so similarities
-//! — including the global softIDF weights over `|Ω| + 1` objects — are
-//! bit-identical to a from-scratch batch run over corpus + record. The
-//! candidate set comes from the same posting lookups the batch blocking
-//! plans use ([`crate::filter`] builds both from one code path), so
-//! membership matches the batch plan's pairs involving the record.
+//! The specification is a batch run over corpus + record, with the
+//! record interned **last**. [`ProbeSnapshot::probe`] never builds that
+//! store; it scores through a [`ProbeOverlay`] — the pinned store plus
+//! the record as object `n` — whose every [`OdView`] answer equals the
+//! appended store's:
+//!
+//! * **Ids.** First-occurrence interning leaves every stored term and
+//!   type id unchanged by the append. The record's stored terms resolve
+//!   to those ids through the snapshot's term lookup; unseen terms get
+//!   `term_count()`, `term_count() + 1`, … in first-occurrence order,
+//!   and unseen types likewise from `type_count()` up — the ids the
+//!   append would assign. The record's type groups are laid out as
+//!   interning lays them (sorted by type id, tuple indices ascending).
+//! * **Postings.** Object `n` sorts after every stored posting, so the
+//!   appended posting list of a term is the stored one plus one
+//!   "record holds this term" bit. Posting lengths and `|O_a ∪ O_b|`
+//!   are the stored CSR counts plus that bit (unseen terms: the bit
+//!   alone).
+//! * **`|Ω|`** is `n + 1`, so every softIDF weight `ln(|Ω| / |O_a ∪
+//!   O_b|)` is the batch weight.
+//!
+//! The engine runs the same monomorphic scoring code over either view,
+//! so similarities are bit-identical to the batch run (the
+//! `probe_overlay` suite checks the overlay against `build_from_raw`
+//! of corpus + record). Probe cost follows the examined candidates, not
+//! `|Ω|`. The candidate set comes from the same posting lookups the
+//! batch blocking plans use ([`crate::filter`] builds both from one
+//! code path), so membership matches the batch plan's pairs involving
+//! the record.
 //!
 //! ```
 //! use dogmatix_core::pipeline::Dogmatix;
@@ -49,11 +69,11 @@ use crate::filter::{
     LookupScratch, LshBucketIndex, MinHashLshBlocking, QGramBlocking, QGramTermIndex,
 };
 use crate::mapping::Mapping;
-use crate::od::{extract_raw_tuples, OdSet, RawTuple};
+use crate::od::{extract_raw_tuples, OdSet, RawTuple, TermId};
 use crate::pipeline::{selections_for_paths, Dogmatix};
-use crate::sim::DistCache;
-use crate::stage::{PairClassifier, SimContext, SimilarityMeasure};
-use dogmatix_textsim::{mix64, word_token_hashes_into};
+use crate::sim::{merged_count, DistCache, OdView};
+use crate::stage::{PairClassifier, SimilarityMeasure};
+use dogmatix_textsim::{mix64, word_token_hashes_into, Fnv1a};
 use dogmatix_xml::{Document, NodeId};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -129,18 +149,21 @@ pub struct ProbeAnswer {
     pub stats: ProbeStats,
 }
 
-/// Reusable per-connection scratch so steady-state probes perform no
-/// per-request `String` allocation in the lookup path (the no-hot-alloc
-/// gate covers this module).
+/// Reusable per-connection scratch: the lookup buffers, the record's
+/// overlay layout and the scoring memo, so a steady-state probe
+/// allocates only its answer (the no-hot-alloc gate covers this
+/// module).
 #[derive(Debug, Default)]
 pub struct ProbeScratch {
     lookup: LookupScratch,
     candidates: BTreeSet<usize>,
-    type_ids: Vec<u32>,
     tokens: BTreeSet<u64>,
     token_list: Vec<u64>,
     word_hashes: Vec<u64>,
-    ext_nodes: Vec<NodeId>,
+    layout: RecordLayout,
+    /// Per-probe term-pair memo: reset on every probe, because the
+    /// record's fresh term ids alias across probes.
+    cache: DistCache,
     scored: Vec<ProbeMatch>,
 }
 
@@ -148,6 +171,338 @@ impl ProbeScratch {
     /// Fresh scratch; buffers grow to steady-state size on first use.
     pub fn new() -> Self {
         ProbeScratch::default()
+    }
+}
+
+/// `(type id, normalised value) → term id` over a pinned store, built
+/// once per snapshot: the record's stored terms resolve to the ids
+/// append-last interning would give them. A sorted `(hash, term)`
+/// column — one allocation — probed by binary search; hash collisions
+/// are resolved against the store's own norm bytes.
+#[derive(Debug)]
+pub struct TermLookup {
+    keys: Vec<(u64, u32)>,
+}
+
+impl TermLookup {
+    /// Indexes every term of `ods`.
+    pub fn new(ods: &OdSet) -> Self {
+        let store = ods.store();
+        let mut keys: Vec<(u64, u32)> = (0..store.term_count())
+            .map(|t| (term_key(store.type_id(t), store.norm(t)), t as u32))
+            .collect();
+        keys.sort_unstable();
+        TermLookup { keys }
+    }
+
+    /// The stored term of type `type_id` with normalised value `norm`.
+    fn find(&self, ods: &OdSet, type_id: u32, norm: &str) -> Option<TermId> {
+        let store = ods.store();
+        let key = term_key(type_id, norm);
+        let from = self.keys.partition_point(|&(k, _)| k < key);
+        self.keys[from..]
+            .iter()
+            .take_while(|&&(k, _)| k == key)
+            .map(|&(_, t)| t as usize)
+            .find(|&t| store.type_id(t) == type_id && store.norm(t) == norm)
+            .map(TermId::from_index)
+    }
+}
+
+fn term_key(type_id: u32, norm: &str) -> u64 {
+    let mut h = Fnv1a::new();
+    h.update(norm.as_bytes());
+    mix64(h.finish() ^ u64::from(type_id))
+}
+
+/// The probe record laid out as append-last interning would lay it,
+/// kept in [`ProbeScratch`] so its buffers stay warm across probes.
+#[derive(Debug, Default)]
+struct RecordLayout {
+    /// Type id per record tuple.
+    type_ids: Vec<u32>,
+    /// Term id per record tuple.
+    term_ids: Vec<TermId>,
+    /// Unseen terms in id order (`base term count + k`): the record
+    /// tuple holding the first occurrence, and its char length.
+    fresh: Vec<(u32, u32)>,
+    /// Stored term ids the record holds, sorted and deduplicated.
+    held: Vec<TermId>,
+    /// Type groups: `(type id, start, end)` into `members`.
+    groups: Vec<(u32, u32, u32)>,
+    /// Record-local tuple indices, grouped.
+    members: Vec<u32>,
+}
+
+impl RecordLayout {
+    /// Resolves `record` against `base`: types and terms to the ids
+    /// append-last interning assigns, type groups as `Interner::push`
+    /// lays them.
+    fn build(&mut self, base: &OdSet, lookup: &TermLookup, record: &[RawTuple]) {
+        let store = base.store();
+        let known_types = store.type_count() as u32;
+        let known_terms = store.term_count();
+        self.type_ids.clear();
+        self.term_ids.clear();
+        self.fresh.clear();
+        self.held.clear();
+        let mut fresh_types = 0u32;
+        for (pos, tuple) in record.iter().enumerate() {
+            let ty = match (0..known_types).find(|&ty| store.type_name(ty) == tuple.rw_type) {
+                Some(ty) => ty,
+                None => {
+                    let earlier = record[..pos]
+                        .iter()
+                        .zip(&self.type_ids)
+                        .find(|(prev, id)| **id >= known_types && prev.rw_type == tuple.rw_type)
+                        .map(|(_, &id)| id);
+                    earlier.unwrap_or_else(|| {
+                        fresh_types += 1;
+                        known_types + fresh_types - 1
+                    })
+                }
+            };
+            self.type_ids.push(ty);
+            let stored = if ty < known_types {
+                lookup.find(base, ty, &tuple.norm)
+            } else {
+                None
+            };
+            let term = match stored {
+                Some(term) => {
+                    self.held.push(term);
+                    term
+                }
+                None => {
+                    let earlier = self.fresh.iter().position(|&(at, _)| {
+                        let at = at as usize;
+                        self.type_ids[at] == ty && record[at].norm == tuple.norm
+                    });
+                    let k = earlier.unwrap_or_else(|| {
+                        self.fresh
+                            .push((pos as u32, tuple.norm.chars().count() as u32));
+                        self.fresh.len() - 1
+                    });
+                    TermId::from_index(known_terms + k)
+                }
+            };
+            self.term_ids.push(term);
+        }
+        self.held.sort_unstable();
+        self.held.dedup();
+
+        // Interning groups tuples by type id, ascending, keeping each
+        // group's tuple indices ascending.
+        self.members.clear();
+        self.members.extend(0..record.len() as u32);
+        let type_ids = &self.type_ids;
+        self.members
+            .sort_unstable_by_key(|&t| (type_ids[t as usize], t));
+        self.groups.clear();
+        for (at, &t) in (0u32..).zip(&self.members) {
+            let ty = self.type_ids[t as usize];
+            match self.groups.last_mut() {
+                Some(group) if group.0 == ty => group.2 += 1,
+                _ => self.groups.push((ty, at, at + 1)),
+            }
+        }
+    }
+}
+
+/// A pinned store plus one probe record as object `n` (`|Ω| = n + 1`):
+/// the [`OdView`] a probe scores through, answering every query exactly
+/// as `OdSet::build_from_raw(corpus + record)` would, without building
+/// it. See the module docs for why the two agree.
+///
+/// ```
+/// use dogmatix_core::od::{OdSet, RawTuple};
+/// use dogmatix_core::probe::{ProbeOverlay, ProbeScratch, TermLookup};
+/// use dogmatix_core::sim::{DistCache, EditKernelChoice, OdView, SimEngine};
+///
+/// let tuple = |norm: &str| RawTuple {
+///     value: norm.into(),
+///     path: "/r/m/t".into(),
+///     rw_type: "T".into(),
+///     norm: norm.into(),
+/// };
+/// let doc = dogmatix_xml::Document::parse("<r/>")?;
+/// let node = doc.root_element().unwrap();
+/// let corpus = [vec![tuple("signs")], vec![tuple("heat")]];
+/// let base = OdSet::build_from_raw(corpus.iter().map(|p| (node, p.as_slice())));
+/// let lookup = TermLookup::new(&base);
+/// let record = [tuple("signs"), tuple("ronin")];
+/// let mut scratch = ProbeScratch::new();
+/// let overlay = ProbeOverlay::new(&base, &lookup, &record, &mut scratch);
+/// assert_eq!(overlay.object_count(), 3);
+/// assert_eq!(overlay.tuple_term(2, 0), base.tuple_terms(0)[0]); // stored id
+/// assert_eq!(overlay.tuple_term(2, 1).index(), base.term_count()); // fresh id
+/// let engine = SimEngine::over(&overlay, 0.15, EditKernelChoice::default());
+/// let sim = engine.sim(0, 2, &mut DistCache::new());
+/// assert!(sim > 0.0);
+/// # Ok::<(), dogmatix_xml::XmlError>(())
+/// ```
+#[derive(Debug)]
+pub struct ProbeOverlay<'a> {
+    base: &'a OdSet,
+    record: &'a [RawTuple],
+    layout: &'a RecordLayout,
+    /// Stored objects (`n`, the record's object index).
+    n: usize,
+    base_terms: usize,
+    base_groups: usize,
+}
+
+impl<'a> ProbeOverlay<'a> {
+    /// Lays `record` out over `base` in `scratch` and returns the view.
+    /// `lookup` must be [`TermLookup::new`] of the same `base`.
+    pub fn new(
+        base: &'a OdSet,
+        lookup: &TermLookup,
+        record: &'a [RawTuple],
+        scratch: &'a mut ProbeScratch,
+    ) -> Self {
+        scratch.layout.build(base, lookup, record);
+        ProbeOverlay::over(base, record, &scratch.layout)
+    }
+
+    fn over(base: &'a OdSet, record: &'a [RawTuple], layout: &'a RecordLayout) -> Self {
+        ProbeOverlay {
+            base,
+            record,
+            layout,
+            n: base.len(),
+            base_terms: base.term_count(),
+            base_groups: base.group_count(),
+        }
+    }
+
+    /// A term's stored postings and whether the record holds it (an
+    /// unseen term: no stored postings, held by the record).
+    #[inline]
+    fn postings(&self, term: TermId) -> (&'a [u32], bool) {
+        if term.index() < self.base_terms {
+            (
+                self.base.store().postings(term.index()),
+                self.layout.held.binary_search(&term).is_ok(),
+            )
+        } else {
+            (&[], true)
+        }
+    }
+
+    /// The unseen term's `(record tuple, char length)` entry.
+    #[inline]
+    fn fresh(&self, term: TermId) -> (u32, u32) {
+        self.layout.fresh[term.index() - self.base_terms]
+    }
+}
+
+impl OdView for ProbeOverlay<'_> {
+    #[inline]
+    fn object_count(&self) -> usize {
+        self.n + 1
+    }
+
+    #[inline]
+    fn tuple_count(&self, i: usize) -> usize {
+        if i < self.n {
+            self.base.tuple_count(i)
+        } else {
+            self.record.len()
+        }
+    }
+
+    #[inline]
+    fn tuple_term(&self, i: usize, local: usize) -> TermId {
+        if i < self.n {
+            self.base.tuple_term(i, local)
+        } else {
+            self.layout.term_ids[local]
+        }
+    }
+
+    #[inline]
+    fn group_range(&self, i: usize) -> std::ops::Range<usize> {
+        if i < self.n {
+            self.base.group_range(i)
+        } else {
+            self.base_groups..self.base_groups + self.layout.groups.len()
+        }
+    }
+
+    #[inline]
+    fn group_type(&self, g: usize) -> u32 {
+        match g.checked_sub(self.base_groups) {
+            None => OdView::group_type(self.base, g),
+            Some(k) => self.layout.groups[k].0,
+        }
+    }
+
+    #[inline]
+    fn group_tuples(&self, g: usize) -> &[u32] {
+        match g.checked_sub(self.base_groups) {
+            None => self.base.group_tuples(g),
+            Some(k) => {
+                let (_, start, end) = self.layout.groups[k];
+                &self.layout.members[start as usize..end as usize]
+            }
+        }
+    }
+
+    #[inline]
+    fn norm(&self, term: TermId) -> &str {
+        if term.index() < self.base_terms {
+            self.base.store().norm(term.index())
+        } else {
+            &self.record[self.fresh(term).0 as usize].norm
+        }
+    }
+
+    #[inline]
+    fn char_len(&self, term: TermId) -> usize {
+        if term.index() < self.base_terms {
+            self.base.store().char_len(term.index())
+        } else {
+            self.fresh(term).1 as usize
+        }
+    }
+
+    #[inline]
+    fn posting_len(&self, term: TermId) -> usize {
+        let (stored, held) = self.postings(term);
+        stored.len() + usize::from(held)
+    }
+
+    #[inline]
+    fn union_count(&self, a: TermId, b: TermId) -> usize {
+        let (stored_a, held_a) = self.postings(a);
+        let (stored_b, held_b) = self.postings(b);
+        merged_count(stored_a, stored_b) + usize::from(held_a || held_b)
+    }
+}
+
+/// The `Config` error for a measure whose
+/// [`SimilarityMeasure::prepare_probe`] hook returns `None`.
+fn probe_refusal(measure: &dyn SimilarityMeasure) -> DogmatixError {
+    DogmatixError::Config {
+        // dxlint: allow(no-hot-alloc) — cold configuration-error path, not the lookup loop
+        message: format!(
+            "measure {measure:?} has no prepare_probe hook and cannot score probe records"
+        ),
+    }
+}
+
+/// Refuses, before a snapshot is built, a measure that cannot score
+/// probe records (its `prepare_probe` hook returns `None`).
+pub(crate) fn ensure_probe_capable(measure: &dyn SimilarityMeasure) -> Result<(), DogmatixError> {
+    let empty = OdSet::default();
+    let layout = RecordLayout::default();
+    let view = ProbeOverlay::over(&empty, &[], &layout);
+    let capable = measure.prepare_probe(&view).is_some();
+    if capable {
+        Ok(())
+    } else {
+        Err(probe_refusal(measure))
     }
 }
 
@@ -160,7 +515,7 @@ pub struct ProbeSnapshot {
     /// The served document at snapshot time (batch-parity runs in the
     /// stress suite re-detect over exactly this document).
     doc: Arc<Document>,
-    /// Candidate nodes, aligned with `parts` and `ods` object indices.
+    /// Candidate nodes, aligned with `ods` object indices.
     nodes: Vec<NodeId>,
     /// Candidate schema paths (for mapping probe XML fragments onto a
     /// candidate path in [`ProbeSnapshot::record_from_xml`]).
@@ -169,27 +524,24 @@ pub struct ProbeSnapshot {
     selections: HashMap<String, BTreeSet<String>>,
     /// The mapping the snapshot's extractions ran under.
     mapping: Mapping,
-    /// Cached raw OD tuples per candidate — the probe re-interns these
-    /// with the record appended.
-    parts: Vec<Arc<Vec<RawTuple>>>,
     /// The interned snapshot store the lookup indexes were built over.
     ods: Arc<OdSet>,
+    /// `(type, norm) → term` over `ods`, for laying out probe records.
+    terms: TermLookup,
     /// Pinned scoring stages (shared with the session that published
     /// the snapshot — `Arc` pointer equality, not copies).
     measure: Arc<dyn SimilarityMeasure>,
     classifier: Arc<dyn PairClassifier>,
     /// One-sided candidate lookup.
     index: ProbeIndex,
-    /// Node id lent to the appended record during extended interning
-    /// (`None` only when the document holds no element at all).
-    probe_node: Option<NodeId>,
 }
 
 impl ProbeSnapshot {
-    /// Assembles a snapshot from already-extracted parts. `ods` must be
-    /// the interning of `parts` in order (both construction paths —
-    /// batch and incremental — guarantee this; the audit gate checks
-    /// structural invariants on every build).
+    /// Assembles a snapshot from an already-interned store. `ods` must
+    /// be the interning of the candidates' extractions in `nodes` order
+    /// (both construction paths — batch and incremental — guarantee
+    /// this; the audit gate checks structural invariants on every
+    /// build).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         doc: Arc<Document>,
@@ -197,7 +549,6 @@ impl ProbeSnapshot {
         schema_paths: Vec<String>,
         selections: HashMap<String, BTreeSet<String>>,
         mapping: Mapping,
-        parts: Vec<Arc<Vec<RawTuple>>>,
         ods: Arc<OdSet>,
         measure: Arc<dyn SimilarityMeasure>,
         classifier: Arc<dyn PairClassifier>,
@@ -208,19 +559,17 @@ impl ProbeSnapshot {
             ProbeBlocking::Lsh(b) => ProbeIndex::Lsh(LshBucketIndex::new(b, &ods)),
             ProbeBlocking::Exhaustive => ProbeIndex::Exhaustive,
         };
-        let probe_node = doc.root_element().or_else(|| nodes.first().copied());
         ProbeSnapshot {
             doc,
             nodes,
             schema_paths,
             selections,
             mapping,
-            parts,
+            terms: TermLookup::new(&ods),
             ods,
             measure,
             classifier,
             index,
-            probe_node,
         }
     }
 
@@ -236,38 +585,27 @@ impl ProbeSnapshot {
         blocking: ProbeBlocking,
     ) -> Result<Self, DogmatixError> {
         dx.validate()?;
-        if !dx.measure_stage().store_based() {
-            return Err(DogmatixError::Config {
-                // dxlint: allow(no-hot-alloc) — cold configuration-error path, not the lookup loop
-                message: format!(
-                    "measure {:?} walks the document and cannot score probe records; \
-                     use a store-based measure",
-                    dx.measure_stage()
-                ),
-            });
-        }
+        ensure_probe_capable(dx.measure_stage().as_ref())?;
         let candidates = select_candidates(doc, schema, dx.mapping(), rw_type)?;
         let selections = selections_for_paths(
             schema,
             &candidates.schema_paths,
             dx.selector_stage().as_ref(),
         )?;
-        let mut parts: Vec<Arc<Vec<RawTuple>>> = Vec::with_capacity(candidates.nodes.len());
-        for &node in &candidates.nodes {
-            let path = doc.name_path(node);
-            parts.push(Arc::new(extract_raw_tuples(
-                doc,
-                node,
-                selections.get(&path),
-                dx.mapping(),
-            )));
-        }
+        let parts: Vec<Vec<RawTuple>> = candidates
+            .nodes
+            .iter()
+            .map(|&node| {
+                let path = doc.name_path(node);
+                extract_raw_tuples(doc, node, selections.get(&path), dx.mapping())
+            })
+            .collect();
         let ods = Arc::new(OdSet::build_from_raw(
             candidates
                 .nodes
                 .iter()
                 .copied()
-                .zip(parts.iter().map(|p| p.as_slice())),
+                .zip(parts.iter().map(Vec::as_slice)),
         ));
         crate::store::audit::audit_gate(&ods, "probe snapshot OD interning");
         Ok(ProbeSnapshot::from_parts(
@@ -276,7 +614,6 @@ impl ProbeSnapshot {
             candidates.schema_paths,
             selections,
             dx.mapping().clone(),
-            parts,
             ods,
             Arc::clone(dx.measure_stage()),
             Arc::clone(dx.classifier_stage()),
@@ -379,85 +716,41 @@ impl ProbeSnapshot {
         ))
     }
 
-    /// Resolves the record's real-world type names to the type ids
-    /// append-last interning would assign: stored names keep their ids,
-    /// unseen names get fresh ids (`type_count()`, `type_count()+1`, …)
-    /// in first-occurrence order.
-    fn resolve_type_ids(&self, record: &[RawTuple], out: &mut Vec<u32>) {
-        let store = self.ods.store();
-        let known = store.type_count() as u32;
-        out.clear();
-        let mut fresh = 0u32;
-        for (pos, tuple) in record.iter().enumerate() {
-            let id = match (0..known).find(|&ty| store.type_name(ty) == tuple.rw_type) {
-                Some(ty) => ty,
-                None => {
-                    let earlier = record[..pos]
-                        .iter()
-                        .zip(out.iter())
-                        .find(|(prev, id)| **id >= known && prev.rw_type == tuple.rw_type)
-                        .map(|(_, &id)| id);
-                    match earlier {
-                        Some(id) => id,
-                        None => {
-                            let id = known + fresh;
-                            fresh += 1;
-                            id
-                        }
-                    }
-                }
-            };
-            out.push(id);
-        }
-    }
-
     /// Answers a point-query: the top-`k` duplicates of `record` among
     /// the snapshot's objects, with batch-identical similarities.
     ///
     /// Candidate generation runs through the snapshot's one-sided
     /// blocking index (sublinear for the q-gram/LSH indexes); scoring
-    /// re-interns the snapshot's cached parts with the record appended
-    /// last and runs the pinned `SimilarityMeasure`/`PairClassifier`
-    /// stages over the extended store. Doc-walking measures are
-    /// rejected with a graceful `Config` error.
+    /// runs the pinned `SimilarityMeasure`/`PairClassifier` stages over
+    /// a [`ProbeOverlay`] of the pinned store plus the record, so its
+    /// cost follows the examined candidates, not `|Ω|`. Measures without
+    /// a [`SimilarityMeasure::prepare_probe`] hook are rejected with a
+    /// graceful `Config` error.
     pub fn probe(
         &self,
         record: &[RawTuple],
         k: usize,
         scratch: &mut ProbeScratch,
     ) -> Result<ProbeAnswer, DogmatixError> {
-        if !self.measure.store_based() {
-            return Err(DogmatixError::Config {
-                // dxlint: allow(no-hot-alloc) — cold configuration-error path, not the lookup loop
-                message: format!(
-                    "measure {:?} walks the document and cannot score probe records; \
-                     use a store-based measure",
-                    self.measure
-                ),
-            });
-        }
+        scratch.layout.build(&self.ods, &self.terms, record);
+        let view = ProbeOverlay::over(&self.ods, record, &scratch.layout);
+        let prepared = self
+            .measure
+            .prepare_probe(&view)
+            .ok_or_else(|| probe_refusal(self.measure.as_ref()))?;
         let n = self.nodes.len();
-        let (Some(probe_node), false) = (self.probe_node, n == 0) else {
-            return Ok(ProbeAnswer {
-                matches: Vec::new(),
-                possible: Vec::new(),
-                stats: ProbeStats {
-                    total_objects: n,
-                    candidates_examined: 0,
-                },
-            });
-        };
 
         // 1. Candidate generation through the one-sided posting lookups.
         scratch.candidates.clear();
+        let type_ids = &scratch.layout.type_ids;
         match &self.index {
+            _ if n == 0 => {}
             ProbeIndex::Exhaustive => {
                 scratch.candidates.extend(0..n);
             }
             ProbeIndex::QGram(ix) => {
-                self.resolve_type_ids(record, &mut scratch.type_ids);
                 let known = self.ods.store().type_count() as u32;
-                for (tuple, &ty) in record.iter().zip(scratch.type_ids.iter()) {
+                for (tuple, &ty) in record.iter().zip(type_ids) {
                     if ty < known {
                         ix.lookup_into(
                             ty,
@@ -469,9 +762,8 @@ impl ProbeSnapshot {
                 }
             }
             ProbeIndex::Lsh(ix) => {
-                self.resolve_type_ids(record, &mut scratch.type_ids);
                 scratch.tokens.clear();
-                for (tuple, &ty) in record.iter().zip(scratch.type_ids.iter()) {
+                for (tuple, &ty) in record.iter().zip(type_ids) {
                     let salt = mix64(u64::from(ty) ^ ix.blocking().seed);
                     word_token_hashes_into(&tuple.norm, &mut scratch.word_hashes);
                     for &h in &scratch.word_hashes {
@@ -489,32 +781,12 @@ impl ProbeSnapshot {
         }
         let examined = scratch.candidates.len();
 
-        // 2. Extended interning: append the record *last* so every
-        // stored term/type/path id — and therefore every softIDF weight
-        // over |Ω| + 1 — matches a batch run over corpus + record.
-        let ext = OdSet::build_from_raw(
-            self.nodes
-                .iter()
-                .copied()
-                .zip(self.parts.iter().map(|p| p.as_slice()))
-                .chain(std::iter::once((probe_node, record))),
-        );
-        crate::store::audit::audit_gate(&ext, "probe extended OD interning");
-
-        // 3. Score candidates through the pinned stages. The cache is
-        // per-probe: the record's fresh term ids alias across probes.
-        scratch.ext_nodes.clear();
-        scratch.ext_nodes.extend(self.nodes.iter().copied());
-        scratch.ext_nodes.push(probe_node);
-        let prepared = self.measure.prepare(SimContext {
-            doc: &self.doc,
-            candidates: &scratch.ext_nodes,
-            ods: &ext,
-        });
-        let mut cache = DistCache::new();
+        // 2. Score candidates against the record (object `n` of the
+        // overlay) through the pinned stages.
+        scratch.cache.reset_for_plan(examined);
         scratch.scored.clear();
         for &j in &scratch.candidates {
-            let sim = prepared.sim(j, n, &mut cache);
+            let sim = prepared.sim(j, n, &mut scratch.cache);
             let class = self.classifier.classify(sim);
             if class != Class::NonDuplicate {
                 scratch.scored.push(ProbeMatch {
@@ -672,13 +944,31 @@ mod tests {
     #[test]
     fn doc_walking_measures_are_rejected_gracefully() {
         let (doc, schema, _) = corpus();
-        let dx = Dogmatix::builder()
-            .add_type("M", ["/db/m"])
-            .measure(crate::baseline::TreeEditMeasure)
-            .build();
-        let err = ProbeSnapshot::from_batch(&dx, &doc, &schema, "M", ProbeBlocking::Exhaustive)
-            .unwrap_err();
-        assert!(matches!(err, DogmatixError::Config { .. }), "{err}");
+        let measures: [Arc<dyn SimilarityMeasure>; 2] = [
+            Arc::new(crate::baseline::TreeEditMeasure),
+            Arc::new(crate::baseline::OverlapMeasure),
+        ];
+        for measure in measures {
+            let dx = Dogmatix::builder()
+                .add_type("M", ["/db/m"])
+                .measure_arc(measure)
+                .build();
+            let err = ProbeSnapshot::from_batch(&dx, &doc, &schema, "M", ProbeBlocking::Exhaustive)
+                .unwrap_err();
+            assert!(matches!(err, DogmatixError::Config { .. }), "{err}");
+            assert!(err.to_string().contains("prepare_probe"), "{err}");
+
+            // The incremental publish path refuses it the same way.
+            let mut session = dx
+                .incremental_session(doc.clone(), schema.clone(), "M")
+                .unwrap();
+            dx.detect_delta(&mut session, &[]).unwrap();
+            let err = session
+                .publish_snapshot(&dx, ProbeBlocking::Exhaustive)
+                .unwrap_err();
+            assert!(matches!(err, DogmatixError::Config { .. }), "{err}");
+            assert!(err.to_string().contains("prepare_probe"), "{err}");
+        }
     }
 
     #[test]
@@ -701,7 +991,6 @@ mod tests {
             vec!["/db/m".to_string()],
             HashMap::new(),
             Mapping::new(),
-            Vec::new(),
             Arc::new(OdSet::build_from_raw(std::iter::empty::<(
                 NodeId,
                 &[RawTuple],

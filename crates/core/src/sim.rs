@@ -31,6 +31,11 @@
 //! reading norm spans and cached char lengths straight from the
 //! `TermStore` SoA columns. Kernels are exact, so the kernel choice
 //! never changes any score.
+//!
+//! The engine reads its objects through the narrow [`OdView`] trait:
+//! [`OdSet`] is the batch implementation, and
+//! [`ProbeOverlay`](crate::probe::ProbeOverlay) scores a probe record
+//! against a pinned snapshot without re-interning it.
 
 use crate::od::{OdSet, TermId};
 use dogmatix_textsim::kernel::{EditDistanceKernel, KernelScratch};
@@ -38,6 +43,111 @@ use dogmatix_textsim::{bag_distance_lower_bound_with, idf, length_lower_bound, s
 use std::collections::HashMap;
 
 pub use dogmatix_textsim::kernel::EditKernelChoice;
+
+/// The read-only object view [`SimEngine`] scores through: exactly the
+/// queries Equation 8 needs — `|Ω|`, each object's type groups and
+/// tuple terms, each term's normalised value, char length and posting
+/// count, and the pair union count `|O_a ∪ O_b|`.
+///
+/// Group indices are global (`group_range(i)` of different objects are
+/// disjoint), so the merge-join addresses groups by plain integers.
+/// [`OdSet`] implements the view over its columns; the probe path
+/// implements it as a pinned store plus one appended record
+/// ([`ProbeOverlay`](crate::probe::ProbeOverlay)).
+///
+/// ```
+/// use dogmatix_core::od::{OdSet, RawTuple};
+/// use dogmatix_core::sim::OdView;
+/// let raw = vec![RawTuple {
+///     value: "1999".into(),
+///     path: "/r/m/y".into(),
+///     rw_type: "/r/m/y".into(),
+///     norm: "1999".into(),
+/// }];
+/// let doc = dogmatix_xml::Document::parse("<r/>")?;
+/// let node = doc.root_element().unwrap();
+/// let ods = OdSet::build_from_raw([(node, raw.as_slice()), (node, raw.as_slice())]);
+/// let year = ods.tuple_terms(0)[0];
+/// assert_eq!(OdView::object_count(&ods), 2);
+/// assert_eq!(ods.posting_len(year), 2);
+/// assert_eq!(ods.union_count(year, year), 2);
+/// # Ok::<(), dogmatix_xml::XmlError>(())
+/// ```
+pub trait OdView: Sync {
+    /// `|Ω|`: the object count softIDF weighs against.
+    fn object_count(&self) -> usize;
+    /// Number of tuples in object `i`.
+    fn tuple_count(&self, i: usize) -> usize;
+    /// Term id of the `local`-th tuple of object `i`.
+    fn tuple_term(&self, i: usize, local: usize) -> TermId;
+    /// Global group-index range of object `i`'s type groups (sorted
+    /// ascending by type id).
+    fn group_range(&self, i: usize) -> std::ops::Range<usize>;
+    /// Type id of global group `g`.
+    fn group_type(&self, g: usize) -> u32;
+    /// Object-local tuple indices of global group `g`, ascending.
+    fn group_tuples(&self, g: usize) -> &[u32];
+    /// Normalised value of a term.
+    fn norm(&self, term: TermId) -> &str;
+    /// Char length of a term's normalised value.
+    fn char_len(&self, term: TermId) -> usize;
+    /// Number of objects holding a term (`|O_t|`).
+    fn posting_len(&self, term: TermId) -> usize;
+    /// `|O_a ∪ O_b|`: objects holding either term.
+    fn union_count(&self, a: TermId, b: TermId) -> usize;
+}
+
+impl OdView for OdSet {
+    #[inline]
+    fn object_count(&self) -> usize {
+        self.len()
+    }
+
+    #[inline]
+    fn tuple_count(&self, i: usize) -> usize {
+        self.od_range(i).len()
+    }
+
+    #[inline]
+    fn tuple_term(&self, i: usize, local: usize) -> TermId {
+        self.tuple_term_at(i, local)
+    }
+
+    #[inline]
+    fn group_range(&self, i: usize) -> std::ops::Range<usize> {
+        self.od_group_range(i)
+    }
+
+    #[inline]
+    fn group_type(&self, g: usize) -> u32 {
+        OdSet::group_type(self, g)
+    }
+
+    #[inline]
+    fn group_tuples(&self, g: usize) -> &[u32] {
+        self.group_tuple_slice(g)
+    }
+
+    #[inline]
+    fn norm(&self, term: TermId) -> &str {
+        self.term(term).norm()
+    }
+
+    #[inline]
+    fn char_len(&self, term: TermId) -> usize {
+        self.term(term).char_len()
+    }
+
+    #[inline]
+    fn posting_len(&self, term: TermId) -> usize {
+        self.store().posting_len(term.index())
+    }
+
+    #[inline]
+    fn union_count(&self, a: TermId, b: TermId) -> usize {
+        merged_count(self.term(a).postings(), self.term(b).postings())
+    }
+}
 
 /// Memoised per-term-pair state plus reusable scratch buffers for the
 /// allocation-free fast path. One cache may be shared across all pair
@@ -163,8 +273,8 @@ pub(crate) fn cache_capacity_for_plan(plan_len: usize) -> usize {
 /// Whether a term pair is worth memoising: both sides recur. Reads the
 /// CSR offsets directly — two subtractions, no slice materialisation.
 #[inline]
-fn is_frequent(ods: &OdSet, a: TermId, b: TermId) -> bool {
-    ods.store().posting_len(a.index()) >= 2 && ods.store().posting_len(b.index()) >= 2
+fn is_frequent<V: OdView>(ods: &V, a: TermId, b: TermId) -> bool {
+    ods.posting_len(a) >= 2 && ods.posting_len(b) >= 2
 }
 
 /// Canonical (symmetric) memo key for a term pair.
@@ -180,23 +290,21 @@ fn ordered(a: TermId, b: TermId) -> (TermId, TermId) {
 /// Exact `odtDist` through the selected kernel: norm spans and cached
 /// character lengths come straight from the `TermStore` SoA columns —
 /// no per-pair `chars().count()` pass, no allocation.
-fn kernel_distance(
+fn kernel_distance<V: OdView>(
     kernel: &dyn EditDistanceKernel,
     scratch: &mut KernelScratch,
-    ods: &OdSet,
+    ods: &V,
     a: TermId,
     b: TermId,
 ) -> f64 {
-    let term_a = ods.term(a);
-    let term_b = ods.term(b);
-    let la = term_a.char_len();
-    let lb = term_b.char_len();
+    let la = ods.char_len(a);
+    let lb = ods.char_len(b);
     let max_len = la.max(lb);
     if max_len == 0 {
         return 0.0;
     }
     let d = kernel
-        .bounded_counted(scratch, term_a.norm(), la, term_b.norm(), lb, max_len)
+        .bounded_counted(scratch, ods.norm(a), la, ods.norm(b), lb, max_len)
         .unwrap_or(max_len); // unreachable: every distance is <= max_len
     d as f64 / max_len as f64
 }
@@ -204,18 +312,16 @@ fn kernel_distance(
 /// Bounds-then-kernel similarity verdict `odtDist < θ` — the
 /// `ned_within` cascade (strict cap, length bound, bag bound, bounded
 /// distance) over store columns and cache-resident scratch.
-fn kernel_similar(
+fn kernel_similar<V: OdView>(
     kernel: &dyn EditDistanceKernel,
     scratch: &mut KernelScratch,
-    ods: &OdSet,
+    ods: &V,
     a: TermId,
     b: TermId,
     theta: f64,
 ) -> bool {
-    let term_a = ods.term(a);
-    let term_b = ods.term(b);
-    let la = term_a.char_len();
-    let lb = term_b.char_len();
+    let la = ods.char_len(a);
+    let lb = ods.char_len(b);
     let max_len = la.max(lb);
     if max_len == 0 {
         return theta > 0.0;
@@ -226,21 +332,21 @@ fn kernel_similar(
     if length_lower_bound(la, lb) > cap {
         return false;
     }
-    if bag_distance_lower_bound_with(term_a.norm(), term_b.norm(), &mut scratch.bounds) > cap {
+    if bag_distance_lower_bound_with(ods.norm(a), ods.norm(b), &mut scratch.bounds) > cap {
         return false;
     }
     kernel
-        .bounded_counted(scratch, term_a.norm(), la, term_b.norm(), lb, cap)
+        .bounded_counted(scratch, ods.norm(a), la, ods.norm(b), lb, cap)
         .is_some()
 }
 
 /// Memoised exact `odtDist` (free function so the fast path can borrow
 /// the cache's scratch buffers alongside the maps).
-fn distance_memo(
+fn distance_memo<V: OdView>(
     map: &mut HashMap<(TermId, TermId), f64>,
     scratch: &mut KernelScratch,
     kernel: &dyn EditDistanceKernel,
-    ods: &OdSet,
+    ods: &V,
     a: TermId,
     b: TermId,
 ) -> f64 {
@@ -261,11 +367,11 @@ fn distance_memo(
 /// Memoised bounds-based similarity verdict: `odtDist < θ`. Cheaper than
 /// [`distance_memo`] when the answer is "no" (the common case), because
 /// the length and bag bounds reject without running the DP.
-fn similar_memo(
+fn similar_memo<V: OdView>(
     map: &mut HashMap<(TermId, TermId), bool>,
     scratch: &mut KernelScratch,
     kernel: &dyn EditDistanceKernel,
-    ods: &OdSet,
+    ods: &V,
     a: TermId,
     b: TermId,
     theta: f64,
@@ -285,20 +391,20 @@ fn similar_memo(
 }
 
 /// Memoised `|O_a ∪ O_b|`.
-fn union_memo(
+fn union_memo<V: OdView>(
     map: &mut HashMap<(TermId, TermId), u32>,
-    ods: &OdSet,
+    ods: &V,
     a: TermId,
     b: TermId,
 ) -> usize {
     if a == b {
-        return ods.store().posting_len(a.index());
+        return ods.posting_len(a);
     }
     let key = if a < b { (a, b) } else { (b, a) };
     if let Some(v) = map.get(&key) {
         return *v as usize;
     }
-    let v = merged_count(ods.term(a).postings(), ods.term(b).postings());
+    let v = ods.union_count(a, b);
     if is_frequent(ods, a, b) {
         map.insert(key, v as u32);
     }
@@ -342,7 +448,10 @@ pub struct SimBreakdown {
     pub sim: f64,
 }
 
-/// The similarity engine for one OD set.
+/// The similarity engine for one OD set — or, generically, for any
+/// [`OdView`] (the probe path scores through a
+/// [`ProbeOverlay`](crate::probe::ProbeOverlay)). The batch path
+/// monomorphises over [`OdSet`].
 ///
 /// ```
 /// use dogmatix_core::mapping::Mapping;
@@ -367,8 +476,8 @@ pub struct SimBreakdown {
 /// # Ok::<(), dogmatix_xml::XmlError>(())
 /// ```
 #[derive(Debug)]
-pub struct SimEngine<'a> {
-    ods: &'a OdSet,
+pub struct SimEngine<'a, V: OdView = OdSet> {
+    ods: &'a V,
     theta_tuple: f64,
     kernel: &'static dyn EditDistanceKernel,
 }
@@ -385,6 +494,15 @@ impl<'a> SimEngine<'a> {
     /// kernel. Kernels are exact, so every choice produces bit-identical
     /// similarity values — only throughput differs.
     pub fn with_kernel(ods: &'a OdSet, theta_tuple: f64, choice: EditKernelChoice) -> Self {
+        SimEngine::over(ods, theta_tuple, choice)
+    }
+}
+
+impl<'a, V: OdView> SimEngine<'a, V> {
+    /// Creates an engine over any [`OdView`] — e.g. a
+    /// [`ProbeOverlay`](crate::probe::ProbeOverlay) — scoring through
+    /// the selected edit-distance kernel.
+    pub fn over(ods: &'a V, theta_tuple: f64, choice: EditKernelChoice) -> Self {
         SimEngine {
             ods,
             theta_tuple,
@@ -392,8 +510,8 @@ impl<'a> SimEngine<'a> {
         }
     }
 
-    /// The OD set this engine reads.
-    pub fn ods(&self) -> &OdSet {
+    /// The object view this engine reads.
+    pub fn ods(&self) -> &V {
         self.ods
     }
 
@@ -404,9 +522,9 @@ impl<'a> SimEngine<'a> {
     /// [`SimEngine::breakdown`]'s `sim` field.
     pub fn sim(&self, i: usize, j: usize, cache: &mut DistCache) -> f64 {
         let ods = self.ods;
-        let total = ods.len();
-        let tuples_i = ods.od_range(i).len();
-        let tuples_j = ods.od_range(j).len();
+        let total = ods.object_count();
+        let tuples_i = ods.tuple_count(i);
+        let tuples_j = ods.tuple_count(j);
 
         let (s_sim, s_con) = {
             // Merge-join the type groups of both ODs (flattened group
@@ -423,8 +541,8 @@ impl<'a> SimEngine<'a> {
             used_j.clear();
             used_j.resize(tuples_j, false);
 
-            let groups_i = ods.od_group_range(i);
-            let groups_j = ods.od_group_range(j);
+            let groups_i = ods.group_range(i);
+            let groups_j = ods.group_range(j);
             let (mut gi, mut gj) = (groups_i.start, groups_j.start);
             while gi < groups_i.end && gj < groups_j.end {
                 let ty_i = ods.group_type(gi);
@@ -433,16 +551,16 @@ impl<'a> SimEngine<'a> {
                     std::cmp::Ordering::Less => gi += 1,
                     std::cmp::Ordering::Greater => gj += 1,
                     std::cmp::Ordering::Equal => {
-                        let idx_i = ods.group_tuple_slice(gi);
-                        let idx_j = ods.group_tuple_slice(gj);
+                        let idx_i = ods.group_tuples(gi);
+                        let idx_j = ods.group_tuples(gj);
                         if idx_i.len() == 1 && idx_j.len() == 1 {
                             // 1×1 group: the greedy matching has a single
                             // candidate, so only the verdict matters — the
                             // cheap bounds-based check suffices (no exact
                             // DP for the common "clearly different" case).
                             let (ti, tj) = (idx_i[0], idx_j[0]);
-                            let term_i = ods.tuple_term_at(i, ti as usize);
-                            let term_j = ods.tuple_term_at(j, tj as usize);
+                            let term_i = ods.tuple_term(i, ti as usize);
+                            let term_j = ods.tuple_term(j, tj as usize);
                             if similar_memo(
                                 &mut cache.similar,
                                 &mut cache.kernel_scratch,
@@ -472,12 +590,12 @@ impl<'a> SimEngine<'a> {
                         // accumulation order, and hence the score, is
                         // independent of the batching).
                         for &ti in idx_i {
-                            let term_i = ods.tuple_term_at(i, ti as usize);
+                            let term_i = ods.tuple_term(i, ti as usize);
                             let row = &mut cache.scratch_row;
                             row.clear();
                             let mut misses = 0usize;
                             for &tj in idx_j {
-                                let term_j = ods.tuple_term_at(j, tj as usize);
+                                let term_j = ods.tuple_term(j, tj as usize);
                                 let d = if term_i == term_j {
                                     0.0
                                 } else {
@@ -493,16 +611,17 @@ impl<'a> SimEngine<'a> {
                                 row.push((tj, term_j, d));
                             }
                             if misses > 0 {
-                                let term_a = ods.term(term_i);
-                                let la = term_a.char_len();
-                                self.kernel
-                                    .prepare(&mut cache.kernel_scratch, term_a.norm(), la);
+                                let la = ods.char_len(term_i);
+                                self.kernel.prepare(
+                                    &mut cache.kernel_scratch,
+                                    ods.norm(term_i),
+                                    la,
+                                );
                                 for entry in row.iter_mut() {
                                     if !entry.2.is_nan() {
                                         continue;
                                     }
-                                    let term_b = ods.term(entry.1);
-                                    let lb = term_b.char_len();
+                                    let lb = ods.char_len(entry.1);
                                     let max_len = la.max(lb);
                                     let d = if max_len == 0 {
                                         0.0
@@ -511,7 +630,7 @@ impl<'a> SimEngine<'a> {
                                             .kernel
                                             .bounded_prepared(
                                                 &mut cache.kernel_scratch,
-                                                term_b.norm(),
+                                                ods.norm(entry.1),
                                                 lb,
                                                 max_len,
                                             )
@@ -565,8 +684,8 @@ impl<'a> SimEngine<'a> {
                     union_memo(
                         &mut cache.union,
                         ods,
-                        ods.tuple_term_at(i, ti as usize),
-                        ods.tuple_term_at(j, tj as usize),
+                        ods.tuple_term(i, ti as usize),
+                        ods.tuple_term(j, tj as usize),
                     ),
                 );
             }
@@ -584,37 +703,45 @@ impl<'a> SimEngine<'a> {
     /// Full comparison breakdown for a pair.
     pub fn breakdown(&self, i: usize, j: usize, cache: &mut DistCache) -> SimBreakdown {
         let ods = self.ods;
-        let od_i = ods.od(i);
-        let od_j = ods.od(j);
-        let total = ods.len();
+        let tuples_i = ods.tuple_count(i);
+        let tuples_j = ods.tuple_count(j);
+        let total = ods.object_count();
 
         // Group tuple indices by interned real-world type on side j
         // (type ids intern 1:1 with names, so comparability is an
-        // integer key now).
-        let mut by_type_j: HashMap<u32, Vec<usize>> = HashMap::new();
-        for (tj, t) in od_j.tuples().enumerate() {
-            by_type_j.entry(t.type_id()).or_default().push(tj);
+        // integer key now), and recover each side-i tuple's type.
+        let mut by_type_j: HashMap<u32, &[u32]> = HashMap::new();
+        for g in ods.group_range(j) {
+            by_type_j.insert(ods.group_type(g), ods.group_tuples(g));
+        }
+        let mut type_i = vec![0u32; tuples_i];
+        for g in ods.group_range(i) {
+            for &ti in ods.group_tuples(g) {
+                type_i[ti as usize] = ods.group_type(g);
+            }
         }
 
         let mut similar: Vec<WeighedPair> = Vec::new();
         // Candidate contradictory pairs: comparable, not similar.
         let mut candidates: Vec<(usize, usize, f64)> = Vec::new();
-        let mut in_similar_i: Vec<bool> = vec![false; od_i.tuple_count()];
-        let mut in_similar_j: Vec<bool> = vec![false; od_j.tuple_count()];
+        let mut in_similar_i: Vec<bool> = vec![false; tuples_i];
+        let mut in_similar_j: Vec<bool> = vec![false; tuples_j];
 
-        for (ti, t_i) in od_i.tuples().enumerate() {
-            let Some(partners) = by_type_j.get(&t_i.type_id()) else {
+        for (ti, ty) in type_i.iter().enumerate() {
+            let Some(partners) = by_type_j.get(ty) else {
                 continue; // no comparable data on the other side
             };
-            for &tj in partners {
-                let t_j = od_j.tuple(tj);
+            let term_i = ods.tuple_term(i, ti);
+            for &tj in partners.iter() {
+                let tj = tj as usize;
+                let term_j = ods.tuple_term(j, tj);
                 let d = distance_memo(
                     &mut cache.dist,
                     &mut cache.kernel_scratch,
                     self.kernel,
                     ods,
-                    t_i.term(),
-                    t_j.term(),
+                    term_i,
+                    term_j,
                 );
                 if d < self.theta_tuple {
                     in_similar_i[ti] = true;
@@ -623,7 +750,7 @@ impl<'a> SimEngine<'a> {
                         tuple_i: ti,
                         tuple_j: tj,
                         distance: d,
-                        soft_idf: self.pair_soft_idf(t_i.term(), t_j.term(), total),
+                        soft_idf: self.pair_soft_idf(term_i, term_j, total),
                     });
                 } else {
                     candidates.push((ti, tj, d));
@@ -640,8 +767,8 @@ impl<'a> SimEngine<'a> {
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then_with(|| (a.0, a.1).cmp(&(b.0, b.1)))
         });
-        let mut used_i = vec![false; od_i.tuple_count()];
-        let mut used_j = vec![false; od_j.tuple_count()];
+        let mut used_i = vec![false; tuples_i];
+        let mut used_j = vec![false; tuples_j];
         let mut contradictory: Vec<WeighedPair> = Vec::new();
         for (ti, tj, d) in candidates {
             if used_i[ti] || used_j[tj] {
@@ -653,7 +780,7 @@ impl<'a> SimEngine<'a> {
                 tuple_i: ti,
                 tuple_j: tj,
                 distance: d,
-                soft_idf: self.pair_soft_idf(od_i.tuple(ti).term(), od_j.tuple(tj).term(), total),
+                soft_idf: self.pair_soft_idf(ods.tuple_term(i, ti), ods.tuple_term(j, tj), total),
             });
         }
 
@@ -673,9 +800,9 @@ impl<'a> SimEngine<'a> {
     /// `softIDF((odt_i, odt_j)) = ln(|Ω| / |O_i ∪ O_j|)` (Definition 8).
     fn pair_soft_idf(&self, a: TermId, b: TermId, total: usize) -> f64 {
         let union = if a == b {
-            self.ods.store().posting_len(a.index())
+            self.ods.posting_len(a)
         } else {
-            merged_count(self.ods.term(a).postings(), self.ods.term(b).postings())
+            self.ods.union_count(a, b)
         };
         idf(total, union)
     }
@@ -749,9 +876,22 @@ impl crate::stage::SimilarityMeasure for SoftIdfMeasure {
             self.kernel,
         ))
     }
+
+    /// The same engine over the probe overlay: softIDF reads only the
+    /// [`OdView`] queries, so the overlay's answers carry over exactly.
+    fn prepare_probe<'v>(
+        &self,
+        view: &'v crate::probe::ProbeOverlay<'_>,
+    ) -> Option<Box<dyn crate::stage::PreparedMeasure + 'v>> {
+        Some(Box::new(SimEngine::over(
+            view,
+            self.theta_tuple,
+            self.kernel,
+        )))
+    }
 }
 
-impl crate::stage::PreparedMeasure for SimEngine<'_> {
+impl<V: OdView> crate::stage::PreparedMeasure for SimEngine<'_, V> {
     fn sim(&self, i: usize, j: usize, cache: &mut DistCache) -> f64 {
         SimEngine::sim(self, i, j, cache)
     }

@@ -144,15 +144,57 @@ pub trait SimilarityMeasure: fmt::Debug + Send + Sync {
     /// parameters in).
     fn prepare<'a>(&self, ctx: SimContext<'a>) -> Box<dyn PreparedMeasure + 'a>;
 
-    /// Whether the prepared form scores pairs from the interned
-    /// [`OdSet`] alone (`ctx.ods`), never touching
-    /// `ctx.doc` / `ctx.candidates`. Probe serving
-    /// ([`crate::probe`]) extends the snapshot's store with the probe
-    /// record but has no document holding that record, so only
-    /// store-based measures can answer probes; doc-walking measures
-    /// override this to `false` and probes reject them gracefully.
-    fn store_based(&self) -> bool {
-        true
+    /// Prepares the measure to score one probe record against a pinned
+    /// snapshot. `view` is the snapshot's store plus the record as the
+    /// last object (index `view.object_count() - 1`), exactly as a batch
+    /// run over corpus + record would intern it; there is no document
+    /// holding the record. Returns `None` (the default) when the measure
+    /// cannot score from that view alone — probe serving
+    /// ([`crate::probe`]) then refuses the measure with a `Config` error.
+    ///
+    /// A measure that reads only the [`crate::sim::OdView`] queries
+    /// returns its engine over the overlay:
+    ///
+    /// ```
+    /// use dogmatix_core::probe::ProbeOverlay;
+    /// use dogmatix_core::sim::{EditKernelChoice, SimEngine};
+    /// use dogmatix_core::stage::{PreparedMeasure, SimContext, SimilarityMeasure};
+    ///
+    /// #[derive(Debug)]
+    /// struct Strict;
+    ///
+    /// impl SimilarityMeasure for Strict {
+    ///     fn prepare<'a>(&self, ctx: SimContext<'a>) -> Box<dyn PreparedMeasure + 'a> {
+    ///         Box::new(SimEngine::new(ctx.ods, 0.05))
+    ///     }
+    ///
+    ///     fn prepare_probe<'v>(
+    ///         &self,
+    ///         view: &'v ProbeOverlay<'_>,
+    ///     ) -> Option<Box<dyn PreparedMeasure + 'v>> {
+    ///         Some(Box::new(SimEngine::over(view, 0.05, EditKernelChoice::default())))
+    ///     }
+    /// }
+    ///
+    /// use dogmatix_core::pipeline::Dogmatix;
+    /// use dogmatix_core::probe::{ProbeBlocking, ProbeScratch, ProbeSnapshot};
+    /// use dogmatix_xml::{Document, Schema};
+    /// let doc = Document::parse("<db><m><t>Signs</t></m><m><t>Heat</t></m></db>")?;
+    /// let schema = Schema::infer(&doc)?;
+    /// let dx = Dogmatix::builder().add_type("M", ["/db/m"]).measure(Strict).build();
+    /// let snapshot =
+    ///     ProbeSnapshot::from_batch(&dx, &doc, &schema, "M", ProbeBlocking::Exhaustive)?;
+    /// let record = snapshot.record_from_xml("<m><t>Signs</t></m>")?;
+    /// let answer = snapshot.probe(&record, 5, &mut ProbeScratch::new())?;
+    /// assert_eq!(answer.matches[0].index, 0);
+    /// # Ok::<(), dogmatix_core::DogmatixError>(())
+    /// ```
+    fn prepare_probe<'v>(
+        &self,
+        view: &'v crate::probe::ProbeOverlay<'_>,
+    ) -> Option<Box<dyn PreparedMeasure + 'v>> {
+        let _ = view;
+        None
     }
 }
 

@@ -69,7 +69,7 @@ use std::sync::mpsc::{
 };
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Tunables of one [`serve`] call.
 #[derive(Debug, Clone)]
@@ -349,24 +349,40 @@ fn serve_inner(
     })
 }
 
-/// Accepts connections, handing each to the bounded worker pool; a full
-/// pool sheds the connection with `ERR overloaded` instead of queueing.
+/// How long the acceptor keeps offering a connection to a full pool
+/// queue before shedding it. A burst of connects can fill the queue
+/// while idle workers are still waiting to be scheduled; the grace
+/// period rides that out, so only a pool that stays saturated sheds.
+const SHED_GRACE: Duration = Duration::from_millis(200);
+
+/// Accepts connections, handing each to the bounded worker pool; a pool
+/// that stays full for [`SHED_GRACE`] sheds the connection with
+/// `ERR overloaded` instead of queueing.
 fn accept_loop(listener: &TcpListener, conn_tx: SyncSender<TcpStream>, shared: &Shared) {
     for stream in listener.incoming() {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        let stream = match stream {
+        let mut stream = match stream {
             Ok(s) => s,
             Err(_) => continue,
         };
-        match conn_tx.try_send(stream) {
-            Ok(()) => {}
-            Err(TrySendError::Full(mut stream)) => {
-                shared.shed.fetch_add(1, Ordering::Relaxed);
-                let _ = stream.write_all(b"ERR overloaded: server overloaded: worker pool full\n");
+        let deadline = Instant::now() + SHED_GRACE;
+        loop {
+            match conn_tx.try_send(stream) {
+                Ok(()) => break,
+                Err(TrySendError::Full(full)) if Instant::now() < deadline => {
+                    stream = full;
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Err(TrySendError::Full(mut full)) => {
+                    shared.shed.fetch_add(1, Ordering::Relaxed);
+                    let _ =
+                        full.write_all(b"ERR overloaded: server overloaded: worker pool full\n");
+                    break;
+                }
+                Err(TrySendError::Disconnected(_)) => return,
             }
-            Err(TrySendError::Disconnected(_)) => break,
         }
     }
     // Dropping `conn_tx` here lets the workers drain and exit.
