@@ -141,6 +141,33 @@ smoke_expect 'CHECKPOINT' 'OK checkpoint lsn='
 smoke_expect 'SHUTDOWN' 'OK bye'
 exec 3<&- 3>&-
 wait "$server_pid"
+
+echo "==> dogmatixd checkpoint-recover smoke (restart --recover from a checkpoint"
+echo "    that embeds the store image; the record must survive the format switch)"
+./target/release/dogmatixd "$smoke_dir/movies.xml" "$smoke_dir/mapping.txt" MOVIE \
+    --addr 127.0.0.1:0 --wal "$smoke_dir/movies.wal" --recover \
+    > "$smoke_dir/boot4.log" 2> "$smoke_dir/recover2.log" &
+server_pid=$!
+for _ in $(seq 100); do
+    grep -q "listening on" "$smoke_dir/boot4.log" 2>/dev/null && break
+    sleep 0.1
+done
+addr="$(sed -n 's/^dogmatixd listening on //p' "$smoke_dir/boot4.log")"
+[ -n "$addr" ] || { echo "checkpoint-recovered dogmatixd never reported its address"; cat "$smoke_dir/recover2.log"; kill "$server_pid"; exit 1; }
+grep -q 'recovered from .* checkpoint lsn=1 replayed=0' "$smoke_dir/recover2.log" \
+    || { echo "recovery did not start from the store checkpoint:"; cat "$smoke_dir/recover2.log"; kill "$server_pid"; exit 1; }
+exec 3<>"/dev/tcp/${addr%:*}/${addr##*:}"
+smoke_expect 'STATS' 'OK seq='
+case "$reply" in
+    *' objects=4 '*) ;;
+    *) echo "checkpoint recovery lost objects: $reply"; exit 1 ;;
+esac
+smoke_expect 'PROBE 5 <movie><title>The Maatrix</title><year>1999</year></movie>' 'OK n='
+probe_matches="$(printf '%s' "$reply" | sed -n 's/^OK n=\([0-9]*\).*/\1/p')"
+[ "$probe_matches" -ge 1 ] || { echo "pre-kill ingest lost across the checkpoint: probe found nothing"; exit 1; }
+smoke_expect 'SHUTDOWN' 'OK bye'
+exec 3<&- 3>&-
+wait "$server_pid"
 rm -rf "$smoke_dir"
 
 echo "==> cargo clippy --all-targets -- -D warnings"

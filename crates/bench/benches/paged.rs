@@ -85,7 +85,7 @@ fn scaling_sanity() {
         "corpus contains duplicates"
     );
 
-    let save_backend = Arc::new(PagedBackend::save(&path, BUDGET).with_page_size(PAGE_SIZE));
+    let save_backend = Arc::new(PagedBackend::save(&path).with_page_size(PAGE_SIZE));
     let saved = run(&fixture, Some(save_backend), 0);
     assert_eq!(reference, saved, "paged save run diverged");
     let snapshot_bytes = std::fs::metadata(&path).expect("snapshot written").len() as usize;
@@ -190,7 +190,7 @@ fn bench_paged(c: &mut Criterion) {
 
     let fixture = CdFixture::dataset1(CORPUS_N);
     let path = scratch_snapshot("criterion");
-    let save_backend = Arc::new(PagedBackend::save(&path, BUDGET).with_page_size(PAGE_SIZE));
+    let save_backend = Arc::new(PagedBackend::save(&path).with_page_size(PAGE_SIZE));
     run(&fixture, Some(save_backend), 0);
     let snapshot_bytes = std::fs::metadata(&path).expect("snapshot written").len() as usize;
 

@@ -10,47 +10,34 @@
 //! * [`InMemoryBackend`] (the default) extracts and interns the corpus
 //!   into a fresh in-memory arena, exactly what
 //!   [`OdSet::build`] always did;
-//! * [`SnapshotBackend`] persists the columnar store to a **versioned,
-//!   checksummed binary file** and warm-starts later runs from it,
-//!   skipping extraction and interning entirely. The columnar layout
-//!   makes this nearly free: a store *is* a handful of flat arrays.
+//! * [`paged::PagedBackend`] persists the columnar store to a
+//!   **versioned, checksummed, paged snapshot file** and warm-starts
+//!   later runs from it through a pinned buffer pool under a memory
+//!   budget, skipping extraction and interning entirely. The columnar
+//!   layout makes this nearly free: a store *is* a handful of flat
+//!   arrays.
 //!
 //! Backends are wired with
 //! [`crate::pipeline::DogmatixBuilder::index_backend`]; the CLI exposes
-//! them as `--index-save` / `--index-load`.
+//! them as `--index-save` / `--index-load` (with `--mem-budget`).
 //!
-//! ## Snapshot format (version 1)
+//! There is one snapshot format, DXTS version 2 — fixed-size pages
+//! behind a checksummed page directory; see [`paged`] for the layout.
+//! WAL checkpoints ([`crate::wal`]) embed the same image.
 //!
-//! ```text
-//! magic   b"DXTS"           4 bytes
-//! version u32 LE            currently 1
-//! checksum u64 LE           FNV-1a + splitmix64 over the payload
-//! payload_len u64 LE
-//! payload:
-//!   object_count, selection fingerprint, then every store column
-//!   (arena bytes, term spans/types/char-lens/IDF bits, CSR postings,
-//!   type/path names, per-type stats) and every OdSet tuple/group
-//!   column as length-prefixed LE arrays
-//! ```
-//!
-//! There is also a **paged version-2** format (fixed-size pages behind
-//! a page directory, read through a pinned buffer pool under a memory
-//! budget) — see [`paged`]. [`SnapshotBackend`] reads both versions;
-//! [`paged::PagedBackend`] reads only v2 and is the out-of-core path.
-//!
-//! Loading validates magic, version, checksum, UTF-8 of the arena, and
-//! the structural invariants of every column (span bounds, CSR
-//! monotonicity, id ranges), so corrupted, truncated, or
-//! wrong-version files are rejected with a
-//! [`DogmatixError::Snapshot`] — never a panic. A fingerprint of the
-//! candidate count and description selection is stored and re-checked,
-//! so a snapshot cannot silently warm-start a run whose selection no
-//! longer matches. Equality is the contract: a snapshot-loaded run is
-//! bit-identical to a cold build over the same corpus
-//! (`tests/snapshot.rs`, `tests/equivalence.rs`).
+//! Loading validates magic, version, the header and per-page checksums,
+//! the exact file length, UTF-8 of the arena, and the structural
+//! invariants of every column (span bounds, CSR monotonicity, id
+//! ranges), so corrupted, truncated, or wrong-version files are
+//! rejected with a [`DogmatixError::Snapshot`] — never a panic. A
+//! fingerprint of the candidate count and description selection is
+//! stored and re-checked, so a snapshot cannot silently warm-start a
+//! run whose selection no longer matches. Equality is the contract: a
+//! snapshot-loaded run is bit-identical to a cold build over the same
+//! corpus (`tests/snapshot.rs`, `tests/equivalence.rs`).
 //!
 //! ```no_run
-//! use dogmatix_core::backend::SnapshotBackend;
+//! use dogmatix_core::backend::paged::PagedBackend;
 //! use dogmatix_core::pipeline::Dogmatix;
 //! use dogmatix_xml::{Document, Schema};
 //!
@@ -59,13 +46,13 @@
 //! // First run: build in memory and persist the term index.
 //! let cold = Dogmatix::builder()
 //!     .add_type("M", ["/db/m"])
-//!     .index_backend(SnapshotBackend::save("/tmp/dx.index"))
+//!     .index_backend(PagedBackend::save("/tmp/dx.index"))
 //!     .build()
 //!     .run(&doc, &schema, "M")?;
-//! // Warm start: load the index instead of re-interning the corpus.
+//! // Warm start under a 1 MiB pool budget: no re-interning.
 //! let warm = Dogmatix::builder()
 //!     .add_type("M", ["/db/m"])
-//!     .index_backend(SnapshotBackend::load("/tmp/dx.index"))
+//!     .index_backend(PagedBackend::open("/tmp/dx.index", 1 << 20))
 //!     .build()
 //!     .run(&doc, &schema, "M")?;
 //! assert_eq!(cold, warm);
@@ -76,13 +63,11 @@ pub mod paged;
 
 use crate::error::DogmatixError;
 use crate::mapping::Mapping;
-use crate::od::{OdSet, TermId};
-use crate::store::audit::StoreAuditor;
-use crate::store::{PathId, Span, TermStore, TypeStats};
+use crate::od::OdSet;
+use crate::store::codec;
 use dogmatix_xml::{Document, NodeId};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Everything a backend may read when producing the run's OD set.
@@ -131,7 +116,7 @@ impl TermIndexBackend for InMemoryBackend {
     }
 }
 
-/// Whether a [`SnapshotBackend`] writes or reads its file.
+/// Whether a [`paged::PagedBackend`] writes or reads its file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotMode {
     /// Build in memory, then persist the store to the file.
@@ -140,64 +125,8 @@ pub enum SnapshotMode {
     Load,
 }
 
-/// The persistent term-index backend: serialises the columnar store to
-/// a versioned binary snapshot ([`SnapshotMode::Save`]) or warm-starts
-/// from one ([`SnapshotMode::Load`]). See the [module docs](self) for
-/// the format and an end-to-end example.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SnapshotBackend {
-    path: PathBuf,
-    mode: SnapshotMode,
-}
-
-impl SnapshotBackend {
-    /// A backend that builds in memory and saves the snapshot to `path`.
-    pub fn save(path: impl Into<PathBuf>) -> Self {
-        SnapshotBackend {
-            path: path.into(),
-            mode: SnapshotMode::Save,
-        }
-    }
-
-    /// A backend that warm-starts from the snapshot at `path`.
-    pub fn load(path: impl Into<PathBuf>) -> Self {
-        SnapshotBackend {
-            path: path.into(),
-            mode: SnapshotMode::Load,
-        }
-    }
-
-    /// The snapshot file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The backend's mode.
-    pub fn mode(&self) -> SnapshotMode {
-        self.mode
-    }
-}
-
-impl TermIndexBackend for SnapshotBackend {
-    fn acquire(&self, ctx: IndexContext<'_>) -> Result<Arc<OdSet>, DogmatixError> {
-        match self.mode {
-            SnapshotMode::Save => {
-                let ods = OdSet::build(ctx.doc, ctx.candidates, ctx.selections, ctx.mapping);
-                save_snapshot(&ods, ctx.selections, doc_fingerprint(ctx.doc), &self.path)?;
-                Ok(Arc::new(ods))
-            }
-            SnapshotMode::Load => {
-                let ods = load_snapshot(&self.path, ctx.selections, doc_fingerprint(ctx.doc))?;
-                Ok(Arc::new(attach_candidates(ods, ctx.candidates)?))
-            }
-        }
-    }
-}
-
 /// Re-attaches the current run's candidate nodes to a freshly loaded
 /// set, refusing a snapshot built against a different document state.
-/// Shared by every loading backend ([`SnapshotBackend`],
-/// [`paged::PagedBackend`]).
 pub(crate) fn attach_candidates(
     mut ods: OdSet,
     candidates: &[NodeId],
@@ -220,62 +149,13 @@ pub(crate) fn snap_err(message: impl Into<String>) -> DogmatixError {
     }
 }
 
-pub(crate) const MAGIC: &[u8; 4] = b"DXTS";
-/// The flat (version-1) snapshot format: one checksummed payload,
-/// deserialised whole. The paged format is
-/// [`paged::SNAPSHOT_VERSION_PAGED`]; loaders name both versions when
-/// rejecting a file.
-pub const SNAPSHOT_VERSION: u32 = 1;
-/// Hard cap on any single array length in a snapshot (guards corrupted
-/// length prefixes from driving allocations before the checksum/bounds
-/// validation can reject them).
-pub(crate) const MAX_ARRAY_LEN: u64 = 1 << 31;
-
 /// Converts a host-side length into a u32 snapshot field, refusing
 /// (rather than truncating) anything past `u32::MAX`. An arena or OD
 /// table that large would otherwise wrap silently into a
 /// corrupt-but-checksummed snapshot.
 pub(crate) fn checked_u32(value: usize, what: &str) -> Result<u32, DogmatixError> {
-    u32::try_from(value).map_err(|_| {
-        snap_err(format!(
-            "{what} ({value}) exceeds the u32 snapshot field limit ({}) — \
-             the corpus is too large for one snapshot",
-            u32::MAX
-        ))
-    })
-}
-
-/// Atomically installs `bytes` at `path`: write to a `.tmp` sibling,
-/// fsync, rename over the target, then best-effort fsync the directory
-/// (the WAL checkpoint pattern). A crash mid-save leaves either the
-/// old file or the new one — never a truncated hybrid that poisons the
-/// next `--index-load`.
-pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), DogmatixError> {
-    use std::io::Write;
-    let mut tmp_name = path.as_os_str().to_os_string();
-    tmp_name.push(".tmp");
-    let tmp = PathBuf::from(tmp_name);
-    let write = || -> std::io::Result<()> {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.sync_all()?;
-        std::fs::rename(&tmp, path)?;
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            if let Ok(d) = std::fs::File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-        Ok(())
-    };
-    write().map_err(|e| snap_err(format!("cannot write snapshot {}: {e}", path.display())))
-}
-
-/// FNV-1a over the payload, finished with splitmix64 — cheap, stable,
-/// and plenty to catch corruption (integrity, not authentication).
-pub(crate) fn checksum(payload: &[u8]) -> u64 {
-    let mut h = dogmatix_textsim::Fnv1a::new();
-    h.update(payload);
-    dogmatix_textsim::mix64(h.finish())
+    codec::checked_u32(value, u32::MAX, what)
+        .map_err(|e| snap_err(format!("{e} — the corpus is too large for one snapshot")))
 }
 
 /// Fingerprint of the document content a snapshot was built from:
@@ -286,7 +166,7 @@ pub(crate) fn checksum(payload: &[u8]) -> u64 {
 /// corpus shape untouched. Also used by [`crate::wal`] checkpoints to
 /// bind an embedded store snapshot to the checkpointed document.
 pub(crate) fn doc_fingerprint(doc: &Document) -> u64 {
-    checksum(doc.to_xml().as_bytes())
+    codec::checksum(doc.to_xml().as_bytes())
 }
 
 /// Order-independent fingerprint of the candidate count and the
@@ -309,428 +189,17 @@ pub(crate) fn selection_fingerprint(
     keys.sort();
     let mut h: u64 = dogmatix_textsim::mix64(object_count as u64);
     for k in keys {
-        h = dogmatix_textsim::mix64(h ^ checksum(k.as_bytes()));
+        h = dogmatix_textsim::mix64(h ^ codec::checksum(k.as_bytes()));
     }
     h
-}
-
-// ---- writer -----------------------------------------------------------
-
-struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u32s(&mut self, vs: &[u32]) {
-        self.u64(vs.len() as u64);
-        for &v in vs {
-            self.u32(v);
-        }
-    }
-    fn spans(&mut self, vs: &[Span]) -> Result<(), DogmatixError> {
-        self.u64(vs.len() as u64);
-        for &s in vs {
-            self.u32(s.start_raw());
-            self.u32(checked_u32(s.len(), "span length")?);
-        }
-        Ok(())
-    }
-    fn f64s(&mut self, vs: &[f64]) {
-        self.u64(vs.len() as u64);
-        for &v in vs {
-            self.u64(v.to_bits());
-        }
-    }
-    fn bytes(&mut self, vs: &[u8]) {
-        self.u64(vs.len() as u64);
-        self.buf.extend_from_slice(vs);
-    }
-}
-
-/// Serialises an [`OdSet`] (minus its document-state node ids) to the
-/// complete snapshot image — header, checksum, and payload — exactly
-/// as [`save_snapshot`] writes to disk. [`crate::wal`] embeds this
-/// image inside checkpoint files instead of writing a sidecar.
-pub fn snapshot_to_bytes(
-    ods: &OdSet,
-    selections: &HashMap<String, BTreeSet<String>>,
-    doc_fingerprint: u64,
-) -> Result<Vec<u8>, DogmatixError> {
-    let (
-        store,
-        od_starts,
-        tuple_term,
-        tuple_value,
-        tuple_path,
-        od_group_starts,
-        group_types,
-        group_starts,
-        group_tuples,
-    ) = ods.columns();
-
-    let mut w = Writer { buf: Vec::new() };
-    w.u32(checked_u32(ods.len(), "object count")?);
-    w.u64(selection_fingerprint(ods.len(), selections));
-    w.u64(doc_fingerprint);
-    // Store columns.
-    w.bytes(store.arena_bytes());
-    w.spans(store.term_norm_spans())?;
-    w.u32s(store.term_types());
-    w.u32s(store.term_char_lens());
-    w.f64s(store.term_idfs());
-    w.u32s(store.posting_starts());
-    w.u32s(store.postings_raw());
-    w.spans(store.type_name_spans())?;
-    w.spans(store.path_name_spans())?;
-    {
-        let stats = store.type_stats();
-        w.u64(stats.len() as u64);
-        for s in stats {
-            w.u32(s.terms);
-            w.u32(s.tuples);
-            w.u32(s.postings);
-        }
-    }
-    // OdSet columns.
-    w.u32s(od_starts);
-    let term_ids: Vec<u32> = tuple_term.iter().map(|t| t.0).collect();
-    w.u32s(&term_ids);
-    w.spans(tuple_value)?;
-    let path_ids: Vec<u32> = tuple_path.iter().map(|p| p.0).collect();
-    w.u32s(&path_ids);
-    w.u32s(od_group_starts);
-    w.u32s(group_types);
-    w.u32s(group_starts);
-    w.u32s(group_tuples);
-
-    let payload = w.buf;
-    let mut out = Vec::with_capacity(payload.len() + 24);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    out.extend_from_slice(&checksum(&payload).to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&payload);
-    Ok(out)
-}
-
-/// Serialises an [`OdSet`] (minus its document-state node ids) to the
-/// snapshot file. Exposed for tests and tools; detectors go through
-/// [`SnapshotBackend`].
-pub fn save_snapshot(
-    ods: &OdSet,
-    selections: &HashMap<String, BTreeSet<String>>,
-    doc_fingerprint: u64,
-    path: &Path,
-) -> Result<(), DogmatixError> {
-    let out = snapshot_to_bytes(ods, selections, doc_fingerprint)?;
-    atomic_write(path, &out)
-}
-
-// ---- reader -----------------------------------------------------------
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DogmatixError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| snap_err("snapshot truncated mid-field"))?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-    fn u32(&mut self) -> Result<u32, DogmatixError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-    fn u64(&mut self) -> Result<u64, DogmatixError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-    fn len_prefix(&mut self) -> Result<usize, DogmatixError> {
-        let n = self.u64()?;
-        if n > MAX_ARRAY_LEN || (n as usize) > self.buf.len() {
-            return Err(snap_err(format!("implausible array length {n}")));
-        }
-        Ok(n as usize)
-    }
-    fn u32s(&mut self) -> Result<Vec<u32>, DogmatixError> {
-        let n = self.len_prefix()?;
-        let raw = self.take(n * 4)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect())
-    }
-    fn spans(&mut self) -> Result<Vec<Span>, DogmatixError> {
-        let n = self.len_prefix()?;
-        let raw = self.take(n * 8)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| {
-                Span::new(
-                    u32::from_le_bytes([c[0], c[1], c[2], c[3]]),
-                    u32::from_le_bytes([c[4], c[5], c[6], c[7]]),
-                )
-            })
-            .collect())
-    }
-    fn f64s(&mut self) -> Result<Vec<f64>, DogmatixError> {
-        let n = self.len_prefix()?;
-        let raw = self.take(n * 8)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| {
-                f64::from_bits(u64::from_le_bytes([
-                    c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7],
-                ]))
-            })
-            .collect())
-    }
-    fn bytes(&mut self) -> Result<Vec<u8>, DogmatixError> {
-        let n = self.len_prefix()?;
-        Ok(self.take(n)?.to_vec())
-    }
-}
-
-/// Reads, verifies, and reassembles a snapshot. The returned set carries
-/// **no candidate nodes** — the caller re-attaches the current run's
-/// candidates ([`SnapshotBackend`] does this, after checking the count).
-/// Reads **both** formats: flat v1 images directly, and paged v2 files
-/// by delegating to [`paged`] with an unbounded pool budget (every page
-/// resident — v1-equivalent memory behaviour; use
-/// [`paged::PagedBackend`] for a bounded budget). Exposed for tests and
-/// tools.
-pub fn load_snapshot(
-    path: &Path,
-    selections: &HashMap<String, BTreeSet<String>>,
-    doc_fingerprint: u64,
-) -> Result<OdSet, DogmatixError> {
-    let data = std::fs::read(path)
-        .map_err(|e| snap_err(format!("cannot read snapshot {}: {e}", path.display())))?;
-    if data.len() >= 8
-        && &data[0..4] == MAGIC
-        && u32::from_le_bytes([data[4], data[5], data[6], data[7]]) == paged::SNAPSHOT_VERSION_PAGED
-    {
-        return paged::odset_from_paged_bytes(&data, selections, doc_fingerprint, usize::MAX);
-    }
-    snapshot_from_bytes(&data, selections, doc_fingerprint)
-}
-
-/// Verifies and reassembles a snapshot from its in-memory image (the
-/// exact byte sequence [`snapshot_to_bytes`] produced). Used by
-/// [`load_snapshot`] and by [`crate::wal`] checkpoint recovery.
-pub fn snapshot_from_bytes(
-    data: &[u8],
-    selections: &HashMap<String, BTreeSet<String>>,
-    doc_fingerprint: u64,
-) -> Result<OdSet, DogmatixError> {
-    if data.len() < 24 {
-        return Err(snap_err("snapshot truncated: missing header"));
-    }
-    if &data[0..4] != MAGIC {
-        return Err(snap_err("not a DogmatiX term-index snapshot (bad magic)"));
-    }
-    let version = u32::from_le_bytes([data[4], data[5], data[6], data[7]]);
-    if version == paged::SNAPSHOT_VERSION_PAGED {
-        return Err(snap_err(format!(
-            "snapshot is the paged format (version {}), but this flat-image reader \
-             only handles version {SNAPSHOT_VERSION} — load the file through \
-             PagedBackend / --index-paged (or SnapshotBackend, which reads both)",
-            paged::SNAPSHOT_VERSION_PAGED
-        )));
-    }
-    if version != SNAPSHOT_VERSION {
-        return Err(snap_err(format!(
-            "unsupported snapshot version {version} (this build reads the flat \
-             version {SNAPSHOT_VERSION} and the paged version {})",
-            paged::SNAPSHOT_VERSION_PAGED
-        )));
-    }
-    let stored_checksum = u64::from_le_bytes([
-        data[8], data[9], data[10], data[11], data[12], data[13], data[14], data[15],
-    ]);
-    let payload_len = u64::from_le_bytes([
-        data[16], data[17], data[18], data[19], data[20], data[21], data[22], data[23],
-    ]) as usize;
-    let payload = data
-        .get(24..)
-        .filter(|p| p.len() == payload_len)
-        .ok_or_else(|| snap_err("snapshot truncated: payload shorter than header claims"))?;
-    if checksum(payload) != stored_checksum {
-        return Err(snap_err("snapshot corrupted: checksum mismatch"));
-    }
-
-    let mut r = Reader {
-        buf: payload,
-        pos: 0,
-    };
-    let object_count = r.u32()? as usize;
-    let fingerprint = r.u64()?;
-    let stored_doc_fingerprint = r.u64()?;
-    let arena = String::from_utf8(r.bytes()?)
-        .map_err(|_| snap_err("snapshot corrupted: arena is not valid UTF-8"))?;
-    let term_norm = r.spans()?;
-    let term_type = r.u32s()?;
-    let term_char_len = r.u32s()?;
-    let term_idf = r.f64s()?;
-    let posting_starts = r.u32s()?;
-    let postings = r.u32s()?;
-    let type_names = r.spans()?;
-    let path_names = r.spans()?;
-    let n_stats = r.len_prefix()?;
-    let mut type_stats = Vec::with_capacity(n_stats);
-    for _ in 0..n_stats {
-        type_stats.push(TypeStats {
-            terms: r.u32()?,
-            tuples: r.u32()?,
-            postings: r.u32()?,
-        });
-    }
-    let od_starts = r.u32s()?;
-    let tuple_term: Vec<TermId> = r.u32s()?.into_iter().map(TermId).collect();
-    let tuple_value = r.spans()?;
-    let tuple_path: Vec<PathId> = r.u32s()?.into_iter().map(PathId).collect();
-    let od_group_starts = r.u32s()?;
-    let group_types = r.u32s()?;
-    let group_starts = r.u32s()?;
-    let group_tuples = r.u32s()?;
-    if r.pos != payload.len() {
-        return Err(snap_err("snapshot corrupted: trailing bytes after payload"));
-    }
-
-    let raw = RawColumns {
-        object_count,
-        selection_fp: fingerprint,
-        doc_fp: stored_doc_fingerprint,
-        arena,
-        term_norm,
-        term_type,
-        term_char_len,
-        term_idf,
-        posting_starts,
-        postings,
-        type_names,
-        path_names,
-        type_stats,
-        od_starts,
-        tuple_term,
-        tuple_value,
-        tuple_path,
-        od_group_starts,
-        group_types,
-        group_starts,
-        group_tuples,
-    };
-    assemble_and_audit(raw, selections, doc_fingerprint)
-}
-
-/// The decoded columns of a snapshot, before fingerprint checks and
-/// assembly. Both the flat v1 reader and the paged v2 reader end up
-/// here, so validation cannot drift between the formats.
-pub(crate) struct RawColumns {
-    pub(crate) object_count: usize,
-    pub(crate) selection_fp: u64,
-    pub(crate) doc_fp: u64,
-    pub(crate) arena: String,
-    pub(crate) term_norm: Vec<Span>,
-    pub(crate) term_type: Vec<u32>,
-    pub(crate) term_char_len: Vec<u32>,
-    pub(crate) term_idf: Vec<f64>,
-    pub(crate) posting_starts: Vec<u32>,
-    pub(crate) postings: Vec<u32>,
-    pub(crate) type_names: Vec<Span>,
-    pub(crate) path_names: Vec<Span>,
-    pub(crate) type_stats: Vec<TypeStats>,
-    pub(crate) od_starts: Vec<u32>,
-    pub(crate) tuple_term: Vec<TermId>,
-    pub(crate) tuple_value: Vec<Span>,
-    pub(crate) tuple_path: Vec<PathId>,
-    pub(crate) od_group_starts: Vec<u32>,
-    pub(crate) group_types: Vec<u32>,
-    pub(crate) group_starts: Vec<u32>,
-    pub(crate) group_tuples: Vec<u32>,
-}
-
-/// Fingerprint checks, column assembly, and the full store audit — the
-/// shared tail of every snapshot load path.
-pub(crate) fn assemble_and_audit(
-    raw: RawColumns,
-    selections: &HashMap<String, BTreeSet<String>>,
-    doc_fingerprint: u64,
-) -> Result<OdSet, DogmatixError> {
-    let expected = selection_fingerprint(raw.object_count, selections);
-    if raw.selection_fp != expected {
-        return Err(snap_err(
-            "snapshot was built under a different description selection \
-             (or candidate count) — rebuild it with --index-save",
-        ));
-    }
-    if raw.doc_fp != doc_fingerprint {
-        return Err(snap_err(
-            "snapshot was built from different document content — \
-             rebuild it with --index-save",
-        ));
-    }
-
-    let store = TermStore::from_parts(
-        raw.arena,
-        raw.term_norm,
-        raw.term_type,
-        raw.term_char_len,
-        raw.term_idf,
-        raw.posting_starts,
-        raw.postings,
-        raw.type_names,
-        raw.path_names,
-        raw.type_stats,
-        checked_u32(raw.object_count, "object count")?,
-    );
-    let ods = OdSet::from_columns(
-        Vec::new(),
-        store,
-        raw.od_starts,
-        raw.tuple_term,
-        raw.tuple_value,
-        raw.tuple_path,
-        raw.od_group_starts,
-        raw.group_types,
-        raw.group_starts,
-        raw.group_tuples,
-    );
-
-    // Structural + semantic validation: the live-store auditor checks
-    // everything detection will index (span bounds, CSR monotonicity,
-    // id ranges, posting order) plus the invariants only a full audit
-    // sees (interner consistency, IDF↔posting agreement, group/tuple
-    // cross-consistency) — one shared implementation with the
-    // stage-boundary gates, so a malformed file can never panic the
-    // pipeline later. Construction above is pure moves; nothing indexes
-    // the columns before the audit accepts them.
-    let report = StoreAuditor::audit(&ods);
-    if let Some(v) = report.violations().first() {
-        return Err(snap_err(format!("snapshot fails the store audit: {v}")));
-    }
-    Ok(ods)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::paged::PagedBackend;
     use crate::pipeline::Dogmatix;
+    use crate::store::Span;
     use dogmatix_xml::Schema;
 
     fn corpus() -> (Document, Schema) {
@@ -757,10 +226,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("m.index");
         let (doc, schema) = corpus();
-        let cold = detector(SnapshotBackend::save(&path))
+        let cold = detector(PagedBackend::save(&path))
             .run(&doc, &schema, "M")
             .unwrap();
-        let warm = detector(SnapshotBackend::load(&path))
+        let warm = detector(PagedBackend::open(&path, 1 << 20))
             .run(&doc, &schema, "M")
             .unwrap();
         assert_eq!(cold, warm);
@@ -777,27 +246,27 @@ mod tests {
         let dir = std::env::temp_dir().join("dx_backend_reject");
         std::fs::create_dir_all(&dir).unwrap();
         let (doc, schema) = corpus();
-        let missing = detector(SnapshotBackend::load(dir.join("nope.index")))
+        let missing = detector(PagedBackend::open(dir.join("nope.index"), 1 << 20))
             .run(&doc, &schema, "M")
             .unwrap_err();
         assert!(matches!(missing, DogmatixError::Snapshot { .. }));
 
         let bad_magic = dir.join("bad_magic.index");
         std::fs::write(&bad_magic, b"NOPE????????????????????????").unwrap();
-        let err = detector(SnapshotBackend::load(&bad_magic))
+        let err = detector(PagedBackend::open(&bad_magic, 1 << 20))
             .run(&doc, &schema, "M")
             .unwrap_err();
         assert!(err.to_string().contains("magic"), "{err}");
 
         // A valid file with a bumped version must be rejected.
         let path = dir.join("versioned.index");
-        detector(SnapshotBackend::save(&path))
+        detector(PagedBackend::save(&path))
             .run(&doc, &schema, "M")
             .unwrap();
         let mut data = std::fs::read(&path).unwrap();
         data[4] = 0xFE;
         std::fs::write(&path, data).unwrap();
-        let err = detector(SnapshotBackend::load(&path))
+        let err = detector(PagedBackend::open(&path, 1 << 20))
             .run(&doc, &schema, "M")
             .unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
@@ -825,16 +294,17 @@ mod tests {
         let path = dir.join("target.index");
         std::fs::write(&path, b"previous contents").unwrap();
         // A directory squatting on the temp-file name makes the write
-        // fail before the install step — the target must be untouched.
+        // fail before the install step — the target must be untouched,
+        // and the snapshot writer reports a Snapshot error.
         let tmp = dir.join("target.index.tmp");
         let _ = std::fs::remove_file(&tmp);
         std::fs::create_dir_all(&tmp).unwrap();
-        let err = atomic_write(&path, b"new contents").unwrap_err();
+        let err = paged::install(&path, b"new contents").unwrap_err();
         assert!(matches!(err, DogmatixError::Snapshot { .. }), "{err}");
         assert_eq!(std::fs::read(&path).unwrap(), b"previous contents");
         std::fs::remove_dir_all(&tmp).unwrap();
         // With the obstruction gone the write lands and cleans up.
-        atomic_write(&path, b"new contents").unwrap();
+        paged::install(&path, b"new contents").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"new contents");
         assert!(!tmp.exists(), "temp file must not survive a save");
         let _ = std::fs::remove_dir_all(&dir);
@@ -846,7 +316,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("m.index");
         let (doc, schema) = corpus();
-        detector(SnapshotBackend::save(&path))
+        detector(PagedBackend::save(&path))
             .run(&doc, &schema, "M")
             .unwrap();
         // A different selection describes the corpus differently: the
@@ -854,7 +324,7 @@ mod tests {
         let err = Dogmatix::builder()
             .add_type("M", ["/db/m"])
             .selector(crate::stage::ManualSelection::new().with("/db/m", ["/db/m/t"]))
-            .index_backend(SnapshotBackend::load(&path))
+            .index_backend(PagedBackend::open(&path, 1 << 20))
             .build()
             .run(&doc, &schema, "M")
             .unwrap_err();

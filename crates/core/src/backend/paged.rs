@@ -1,13 +1,10 @@
-//! The paged (version-2) DXTS snapshot format and its out-of-core
-//! reader, [`PagedBackend`].
+//! The DXTS snapshot format (version 2) and its out-of-core reader,
+//! [`PagedBackend`].
 //!
-//! The flat v1 format (see the [parent module](super)) is one
-//! checksummed payload that must be deserialised whole — memory is
-//! bounded below by the file size. v2 splits every store column into
-//! **fixed-size pages** behind a page directory, so a reader can fault
-//! in exactly the pages it touches through a
-//! [`BufferPool`] and keep at most a
-//! configured budget of them resident:
+//! Every store column is split into **fixed-size pages** behind a page
+//! directory, so a reader can fault in exactly the pages it touches
+//! through a [`BufferPool`] and keep at most a configured budget of
+//! them resident:
 //!
 //! ```text
 //! offset  field
@@ -28,21 +25,19 @@
 //!
 //! Every section starts on a fresh page and its last page is
 //! zero-padded, so page `p` of a section lives at block
-//! `first_page + p` and fixed-width elements (4- and 8-byte) never
-//! straddle a page boundary. Each data page carries its own checksum in
-//! the header table, verified at fault-in time — a byte flip anywhere
-//! in the file is caught either by the header checksum or by the
-//! checksum of the page it lands in, before any decoded value is
-//! trusted.
+//! `first_page + p` and fixed-width 4- and 8-byte fields never straddle
+//! a page boundary. Each data page carries its own checksum in the
+//! header table, verified at fault-in time — a byte flip anywhere in
+//! the file is caught either by the header checksum or by the checksum
+//! of the page it lands in, before any decoded value is trusted.
 //!
-//! The 19 sections mirror the v1 payload exactly: a 20-byte meta
-//! section (object count + selection/document fingerprints), then the
-//! store columns (arena bytes, term spans/types/char-lens/IDF bits,
-//! CSR posting starts + postings, type/path name spans, per-type
-//! stats) and the OD columns (od starts, tuple term/value/path, group
-//! starts/types/members). Loading ends in the same fingerprint checks
-//! and full [`StoreAuditor`](crate::store::audit::StoreAuditor) pass as
-//! v1 — the access path changed, the invariants did not.
+//! The 19 sections are a 20-byte meta section (object count +
+//! selection/document fingerprints), then the store columns (arena
+//! bytes, term spans/types/char-lens/IDF bits, CSR posting starts +
+//! postings, type/path name spans, per-type stats) and the OD columns
+//! (od starts, tuple term/value/path, group starts/types/members).
+//! Loading ends in the fingerprint checks and a full
+//! [`StoreAuditor`] pass.
 //!
 //! Two readers are built on the pool:
 //!
@@ -57,31 +52,39 @@
 //!   with a small budget the pool visibly evicts and refaults.
 
 use super::{
-    atomic_write, checked_u32, checksum, doc_fingerprint, snap_err, IndexContext, RawColumns,
-    SnapshotMode, TermIndexBackend, MAGIC, MAX_ARRAY_LEN, SNAPSHOT_VERSION,
+    attach_candidates, checked_u32, doc_fingerprint, selection_fingerprint, snap_err, IndexContext,
+    SnapshotMode, TermIndexBackend,
 };
 use crate::error::DogmatixError;
 use crate::od::{OdSet, TermId};
-use crate::store::pool::{BlockId, BufferPool, PageRef, PageSource, PoolStats};
-use crate::store::{PathId, Span, TypeStats};
+use crate::store::audit::StoreAuditor;
+use crate::store::codec::{self, put_u32, put_u64, Cursor};
+use crate::store::pool::{BlockId, BufferPool, PageSource, PoolStats};
+use crate::store::{PathId, Span, TermStore, TypeStats};
 use std::collections::{BTreeSet, HashMap};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-/// The paged snapshot format version. The flat format is
-/// [`SNAPSHOT_VERSION`]; loaders name both when rejecting a file.
+const MAGIC: &[u8; 4] = b"DXTS";
+
+/// The snapshot format version this build writes and reads.
 pub const SNAPSHOT_VERSION_PAGED: u32 = 2;
 
-/// Default page size for saved v2 snapshots.
+/// Default page size for saved snapshots.
 pub const DEFAULT_PAGE_SIZE: usize = 4096;
+
+/// Hard cap on any single array length in a snapshot (guards corrupted
+/// directory lengths from driving allocations before the bounds
+/// validation can reject them).
+const MAX_ARRAY_LEN: u64 = 1 << 31;
 
 const MIN_PAGE_SIZE: usize = 64;
 const MAX_PAGE_SIZE: usize = 1 << 26;
 const HEADER_FIXED: usize = 32;
 const DIR_ENTRY_BYTES: usize = 20;
 
-// Section ids double as directory indices; the order is the v1 payload
-// order with the scalar prologue split into its own section.
+// Section ids double as directory indices.
 const SEC_META: usize = 0;
 const SEC_ARENA: usize = 1;
 const SEC_TERM_SPANS: usize = 2;
@@ -106,14 +109,6 @@ const SECTION_COUNT: usize = 19;
 const META_BYTES: u64 = 20;
 
 // ---- writer -----------------------------------------------------------
-
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
 
 fn u32s_payload(vs: &[u32]) -> Vec<u8> {
     let mut buf = Vec::with_capacity(vs.len() * 4);
@@ -152,10 +147,7 @@ fn section_payloads(
 
     let mut meta = Vec::with_capacity(META_BYTES as usize);
     put_u32(&mut meta, checked_u32(ods.len(), "object count")?);
-    put_u64(
-        &mut meta,
-        super::selection_fingerprint(ods.len(), selections),
-    );
+    put_u64(&mut meta, selection_fingerprint(ods.len(), selections));
     put_u64(&mut meta, doc_fingerprint);
 
     let mut idfs = Vec::with_capacity(store.term_idfs().len() * 8);
@@ -204,8 +196,10 @@ fn validate_page_size(page_size: usize) -> Result<(), DogmatixError> {
     Ok(())
 }
 
-/// Serialises an [`OdSet`] to a complete paged (v2) snapshot image —
-/// header, directory, page checksum table, and zero-padded data pages.
+/// Serialises an [`OdSet`] (minus its document-state node ids) to a
+/// complete snapshot image — header, directory, page checksum table,
+/// and zero-padded data pages. [`crate::wal`] checkpoints embed this
+/// image.
 pub fn paged_snapshot_to_bytes(
     ods: &OdSet,
     selections: &HashMap<String, BTreeSet<String>>,
@@ -248,7 +242,7 @@ pub fn paged_snapshot_to_bytes(
             data.resize(start + page_size, 0);
             put_u64(
                 &mut page_checksums,
-                checksum(&data[start..start + page_size]),
+                codec::checksum(&data[start..start + page_size]),
             );
         }
     }
@@ -271,16 +265,11 @@ pub fn paged_snapshot_to_bytes(
     Ok(out)
 }
 
-/// [`paged_snapshot_to_bytes`] + the atomic tmp/fsync/rename install.
-pub fn save_snapshot_paged(
-    ods: &OdSet,
-    selections: &HashMap<String, BTreeSet<String>>,
-    doc_fingerprint: u64,
-    path: &Path,
-    page_size: usize,
-) -> Result<(), DogmatixError> {
-    let out = paged_snapshot_to_bytes(ods, selections, doc_fingerprint, page_size)?;
-    atomic_write(path, &out)
+/// Atomically installs a snapshot image at `path`, reporting failure as
+/// a [`DogmatixError::Snapshot`].
+pub(crate) fn install(path: &Path, image: &[u8]) -> Result<(), DogmatixError> {
+    codec::atomic_write(path, image)
+        .map_err(|e| snap_err(format!("cannot write snapshot {}: {e}", path.display())))
 }
 
 /// FNV-1a/mix64 over the header bytes, skipping the checksum field
@@ -295,78 +284,58 @@ fn header_digest(header: &[u8]) -> u64 {
 // ---- header parsing ---------------------------------------------------
 
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct SectionMeta {
-    pub(crate) first_page: u32,
-    pub(crate) byte_len: u64,
+struct SectionMeta {
+    first_page: u32,
+    byte_len: u64,
 }
 
-/// The parsed, checksum-verified header of a v2 snapshot.
+/// The parsed, checksum-verified header of a snapshot.
 #[derive(Debug)]
-pub(crate) struct PagedHeader {
-    pub(crate) page_size: usize,
-    pub(crate) page_count: u32,
-    pub(crate) header_len: usize,
-    pub(crate) sections: Vec<SectionMeta>,
-    pub(crate) page_checksums: Vec<u64>,
+struct PagedHeader {
+    page_size: usize,
+    page_count: u32,
+    header_len: usize,
+    sections: Vec<SectionMeta>,
+    page_checksums: Vec<u64>,
 }
 
 struct FixedHeader {
     page_size: usize,
-    section_count: usize,
     page_count: u32,
     header_len: usize,
 }
 
-fn read_u32_at(b: &[u8], at: usize) -> u32 {
-    // Callers bounds-check; a short slice would already have errored.
-    let mut le = [0u8; 4];
-    le.copy_from_slice(&b[at..at + 4]);
-    u32::from_le_bytes(le)
-}
-
-fn read_u64_at(b: &[u8], at: usize) -> u64 {
-    let mut le = [0u8; 8];
-    le.copy_from_slice(&b[at..at + 8]);
-    u64::from_le_bytes(le)
-}
-
 /// Parses and sanity-checks the fixed 32-byte header prefix; this is
-/// where a v1 file or an unknown version is rejected with an error
-/// naming both supported versions.
+/// where a retired or unknown version is rejected, naming the version
+/// this build reads.
 fn parse_fixed_header(b: &[u8]) -> Result<FixedHeader, DogmatixError> {
+    let mut c = Cursor::new(b);
+    if c.take(4).ok() != Some(&MAGIC[..]) {
+        return Err(snap_err("not a DogmatiX term-index snapshot (bad magic)"));
+    }
     if b.len() < HEADER_FIXED {
         return Err(snap_err("snapshot truncated: missing paged header"));
     }
-    if &b[0..4] != MAGIC {
-        return Err(snap_err("not a DogmatiX term-index snapshot (bad magic)"));
-    }
-    let version = read_u32_at(b, 4);
-    if version == SNAPSHOT_VERSION {
-        return Err(snap_err(format!(
-            "snapshot is the flat format (version {SNAPSHOT_VERSION}), but this paged \
-             reader only handles version {SNAPSHOT_VERSION_PAGED} — load the file \
-             through SnapshotBackend / --index-load (or re-save it with --index-paged)"
-        )));
-    }
+    let version = c.u32().map_err(snap_err)?;
     if version != SNAPSHOT_VERSION_PAGED {
         return Err(snap_err(format!(
-            "unsupported snapshot version {version} (this build reads the flat \
-             version {SNAPSHOT_VERSION} and the paged version {SNAPSHOT_VERSION_PAGED})"
+            "unsupported snapshot version {version} (this build reads version \
+             {SNAPSHOT_VERSION_PAGED}) — rebuild it with --index-save"
         )));
     }
-    let page_size = read_u32_at(b, 8) as usize;
+    let page_size = c.u32().map_err(snap_err)? as usize;
     validate_page_size(page_size)?;
-    let section_count = read_u32_at(b, 12) as usize;
+    let section_count = c.u32().map_err(snap_err)? as usize;
     if section_count != SECTION_COUNT {
         return Err(snap_err(format!(
             "paged snapshot corrupted: {section_count} sections (this format has \
              {SECTION_COUNT})"
         )));
     }
-    let page_count = read_u32_at(b, 16);
-    let header_len = read_u32_at(b, 20) as usize;
+    let page_count = c.u32().map_err(snap_err)?;
+    let header_len = c.u32().map_err(snap_err)? as usize;
     let expected_len =
-        HEADER_FIXED as u64 + (section_count * DIR_ENTRY_BYTES) as u64 + page_count as u64 * 8;
+        HEADER_FIXED as u64 + (SECTION_COUNT * DIR_ENTRY_BYTES) as u64 + page_count as u64 * 8;
     if header_len as u64 != expected_len {
         return Err(snap_err(
             "paged snapshot corrupted: header length disagrees with the \
@@ -375,7 +344,6 @@ fn parse_fixed_header(b: &[u8]) -> Result<FixedHeader, DogmatixError> {
     }
     Ok(FixedHeader {
         page_size,
-        section_count,
         page_count,
         header_len,
     })
@@ -397,20 +365,21 @@ fn parse_paged_header(header: &[u8], file_len: u64) -> Result<PagedHeader, Dogma
              describes {expected_file_len} B"
         )));
     }
-    if header_digest(header) != read_u64_at(header, 24) {
+    let mut c = Cursor::new(header);
+    c.take(24).map_err(snap_err)?;
+    if header_digest(header) != c.u64().map_err(snap_err)? {
         return Err(snap_err(
             "paged snapshot corrupted: header checksum mismatch",
         ));
     }
 
-    let mut sections = Vec::with_capacity(fixed.section_count);
+    let mut sections = Vec::with_capacity(SECTION_COUNT);
     let mut next_page: u64 = 0;
-    for i in 0..fixed.section_count {
-        let at = HEADER_FIXED + i * DIR_ENTRY_BYTES;
-        let id = read_u32_at(header, at);
-        let first_page = read_u32_at(header, at + 4);
-        let pages = read_u32_at(header, at + 8);
-        let byte_len = read_u64_at(header, at + 12);
+    for i in 0..SECTION_COUNT {
+        let id = c.u32().map_err(snap_err)?;
+        let first_page = c.u32().map_err(snap_err)?;
+        let pages = c.u32().map_err(snap_err)?;
+        let byte_len = c.u64().map_err(snap_err)?;
         if id as usize != i {
             return Err(snap_err(format!(
                 "paged snapshot corrupted: directory entry {i} carries id {id}"
@@ -436,10 +405,9 @@ fn parse_paged_header(header: &[u8], file_len: u64) -> Result<PagedHeader, Dogma
         ));
     }
 
-    let table_at = HEADER_FIXED + fixed.section_count * DIR_ENTRY_BYTES;
-    let page_checksums = (0..fixed.page_count as usize)
-        .map(|i| read_u64_at(header, table_at + i * 8))
-        .collect();
+    let page_checksums = (0..fixed.page_count)
+        .map(|_| c.u64().map_err(snap_err))
+        .collect::<Result<_, _>>()?;
 
     Ok(PagedHeader {
         page_size: fixed.page_size,
@@ -458,9 +426,9 @@ enum Backing {
     Bytes(Vec<u8>),
 }
 
-/// [`PageSource`] over a v2 snapshot: serves `page_count` fixed-size
-/// pages from the data region and verifies each page's checksum
-/// against the header table at fault-in time.
+/// [`PageSource`] over a snapshot: serves `page_count` fixed-size pages
+/// from the data region and verifies each page's checksum against the
+/// header table at fault-in time.
 #[derive(Debug)]
 struct PagedSource {
     header: Arc<PagedHeader>,
@@ -505,7 +473,7 @@ impl PageSource for PagedSource {
             .get(block.0 as usize)
             .copied()
             .ok_or_else(|| snap_err(format!("{block} has no checksum table entry")))?;
-        if checksum(buf) != expected {
+        if codec::checksum(buf) != expected {
             return Err(snap_err(format!(
                 "paged snapshot corrupted: checksum mismatch on {block}"
             )));
@@ -514,8 +482,8 @@ impl PageSource for PagedSource {
     }
 }
 
-/// Opens a v2 snapshot file: parses + verifies the header, then wraps
-/// the data region in a budget-bounded [`BufferPool`].
+/// Opens a snapshot file: parses + verifies the header, then wraps the
+/// data region in a budget-bounded [`BufferPool`].
 fn pool_over_file(
     path: &Path,
     budget: usize,
@@ -527,12 +495,13 @@ fn pool_over_file(
         .metadata()
         .map_err(|e| snap_err(format!("cannot stat snapshot {}: {e}", path.display())))?
         .len();
-    let mut fixed = [0u8; HEADER_FIXED];
-    f.read_exact(&mut fixed)
-        .map_err(|_| snap_err("snapshot truncated: missing paged header"))?;
-    let parsed = parse_fixed_header(&fixed)?;
-    let mut header_bytes = vec![0u8; parsed.header_len];
-    header_bytes[..HEADER_FIXED].copy_from_slice(&fixed);
+    let mut header_bytes = Vec::with_capacity(HEADER_FIXED);
+    (&mut f)
+        .take(HEADER_FIXED as u64)
+        .read_to_end(&mut header_bytes)
+        .map_err(|e| snap_err(format!("cannot read snapshot {}: {e}", path.display())))?;
+    let parsed = parse_fixed_header(&header_bytes)?;
+    header_bytes.resize(parsed.header_len, 0);
     f.read_exact(&mut header_bytes[HEADER_FIXED..])
         .map_err(|_| snap_err("snapshot truncated: incomplete paged header"))?;
     let header = Arc::new(parse_paged_header(&header_bytes, file_len)?);
@@ -545,20 +514,20 @@ fn pool_over_file(
     Ok((pool, header))
 }
 
-/// A pool over an in-memory v2 image (the compat path
-/// [`super::load_snapshot`] uses after reading the whole file).
+/// A pool over an in-memory snapshot image (a WAL checkpoint's
+/// embedded store).
 fn pool_over_bytes(
-    data: &[u8],
+    data: Vec<u8>,
     budget: usize,
 ) -> Result<(BufferPool, Arc<PagedHeader>), DogmatixError> {
-    let fixed = parse_fixed_header(data)?;
+    let fixed = parse_fixed_header(&data)?;
     let header_bytes = data
         .get(..fixed.header_len)
         .ok_or_else(|| snap_err("snapshot truncated: incomplete paged header"))?;
     let header = Arc::new(parse_paged_header(header_bytes, data.len() as u64)?);
     let source = PagedSource {
         header: Arc::clone(&header),
-        backing: Backing::Bytes(data.to_vec()),
+        backing: Backing::Bytes(data),
         label: "<bytes>".to_string(),
     };
     let pool = BufferPool::new(Box::new(source), budget)?;
@@ -567,89 +536,45 @@ fn pool_over_bytes(
 
 // ---- streaming section decoder ----------------------------------------
 
-/// Sequential (or seeked) reads over one section, pinning one page at
-/// a time — the pool, not the cursor, bounds residency.
-struct SectionCursor<'p> {
-    pool: &'p mut BufferPool,
-    first_page: u32,
-    byte_len: u64,
-    pos: u64,
-    current: Option<(PageRef, u32)>,
+/// Hands the bytes `range` of a section to `f` one pinned page at a
+/// time — the pool, not the caller, bounds residency. Each slice ends
+/// at a page boundary or at `range.end`.
+fn stream_section(
+    pool: &mut BufferPool,
+    meta: SectionMeta,
+    range: Range<u64>,
+    mut f: impl FnMut(&[u8]) -> Result<(), DogmatixError>,
+) -> Result<(), DogmatixError> {
+    if range.end > meta.byte_len {
+        return Err(snap_err(
+            "paged snapshot corrupted: read past the end of a section",
+        ));
+    }
+    let ps = pool.page_size() as u64;
+    let mut pos = range.start;
+    while pos < range.end {
+        let block = BlockId(meta.first_page.wrapping_add((pos / ps) as u32));
+        let page = pool.pin(block)?;
+        let off = (pos % ps) as usize;
+        let n = (ps - off as u64).min(range.end - pos) as usize;
+        let done = f(&pool.data(&page)[off..off + n]);
+        pool.unpin(page);
+        done?;
+        pos += n as u64;
+    }
+    Ok(())
 }
 
-impl<'p> SectionCursor<'p> {
-    fn new(pool: &'p mut BufferPool, meta: SectionMeta) -> SectionCursor<'p> {
-        SectionCursor::new_at(pool, meta, 0)
-    }
-
-    fn new_at(pool: &'p mut BufferPool, meta: SectionMeta, pos: u64) -> SectionCursor<'p> {
-        SectionCursor {
-            pool,
-            first_page: meta.first_page,
-            byte_len: meta.byte_len,
-            pos,
-            current: None,
-        }
-    }
-
-    fn read_exact(&mut self, out: &mut [u8]) -> Result<(), DogmatixError> {
-        let mut written = 0usize;
-        while written < out.len() {
-            if self.pos >= self.byte_len {
-                return Err(snap_err(
-                    "paged snapshot corrupted: read past the end of a section",
-                ));
-            }
-            let ps = self.pool.page_size() as u64;
-            let page_ix = (self.pos / ps) as u32;
-            let off = (self.pos % ps) as usize;
-            match &self.current {
-                Some((_, ix)) if *ix == page_ix => {}
-                _ => {
-                    if let Some((p, _)) = self.current.take() {
-                        self.pool.unpin(p);
-                    }
-                    let block = BlockId(self.first_page.wrapping_add(page_ix));
-                    let page = self.pool.pin(block)?;
-                    self.current = Some((page, page_ix));
-                }
-            }
-            let Some((page, _)) = &self.current else {
-                return Err(snap_err("paged snapshot reader lost its pinned page"));
-            };
-            let avail = (ps as usize - off)
-                .min(out.len() - written)
-                .min((self.byte_len - self.pos) as usize);
-            out[written..written + avail].copy_from_slice(&self.pool.data(page)[off..off + avail]);
-            written += avail;
-            self.pos += avail as u64;
-        }
-        Ok(())
-    }
-
-    fn u32(&mut self) -> Result<u32, DogmatixError> {
-        let mut b = [0u8; 4];
-        self.read_exact(&mut b)?;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    fn u64(&mut self) -> Result<u64, DogmatixError> {
-        let mut b = [0u8; 8];
-        self.read_exact(&mut b)?;
-        Ok(u64::from_le_bytes(b))
-    }
-
-    /// Unpins the held page. Dropping the cursor without `finish`
-    /// leaks a pin for the rest of the pool's (short) life, so every
-    /// read path ends here.
-    fn finish(mut self) {
-        if let Some((p, _)) = self.current.take() {
-            self.pool.unpin(p);
-        }
-    }
-}
-
-fn element_count(meta: SectionMeta, elem: u64, what: &str) -> Result<usize, DogmatixError> {
+/// Decodes a section of `elem`-byte records as its little-endian u32
+/// words (spans, IDF bits and type stats are pairs/triples of words).
+/// Sections start on a page boundary and pages are a multiple of 8
+/// bytes, so no word straddles two pages.
+fn read_words(
+    pool: &mut BufferPool,
+    meta: SectionMeta,
+    elem: u64,
+    what: &str,
+) -> Result<Vec<u32>, DogmatixError> {
     if !meta.byte_len.is_multiple_of(elem) {
         return Err(snap_err(format!(
             "paged snapshot corrupted: section {what} is {} B, not a multiple \
@@ -657,25 +582,20 @@ fn element_count(meta: SectionMeta, elem: u64, what: &str) -> Result<usize, Dogm
             meta.byte_len
         )));
     }
-    let n = meta.byte_len / elem;
-    if n > MAX_ARRAY_LEN {
-        return Err(snap_err(format!("implausible array length {n}")));
+    if meta.byte_len / elem > MAX_ARRAY_LEN {
+        return Err(snap_err(format!(
+            "implausible array length {}",
+            meta.byte_len / elem
+        )));
     }
-    Ok(n as usize)
-}
-
-fn read_u32s(
-    pool: &mut BufferPool,
-    meta: SectionMeta,
-    what: &str,
-) -> Result<Vec<u32>, DogmatixError> {
-    let n = element_count(meta, 4, what)?;
-    let mut cur = SectionCursor::new(pool, meta);
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(cur.u32()?);
-    }
-    cur.finish();
+    let mut out = Vec::with_capacity((meta.byte_len / 4) as usize);
+    stream_section(pool, meta, 0..meta.byte_len, |bytes| {
+        let mut c = Cursor::new(bytes);
+        while !c.is_empty() {
+            out.push(c.u32().map_err(snap_err)?);
+        }
+        Ok(())
+    })?;
     Ok(out)
 }
 
@@ -684,50 +604,11 @@ fn read_spans(
     meta: SectionMeta,
     what: &str,
 ) -> Result<Vec<Span>, DogmatixError> {
-    let n = element_count(meta, 8, what)?;
-    let mut cur = SectionCursor::new(pool, meta);
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let start = cur.u32()?;
-        let len = cur.u32()?;
-        out.push(Span::new(start, len));
-    }
-    cur.finish();
-    Ok(out)
-}
-
-fn read_f64s(
-    pool: &mut BufferPool,
-    meta: SectionMeta,
-    what: &str,
-) -> Result<Vec<f64>, DogmatixError> {
-    let n = element_count(meta, 8, what)?;
-    let mut cur = SectionCursor::new(pool, meta);
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(f64::from_bits(cur.u64()?));
-    }
-    cur.finish();
-    Ok(out)
-}
-
-fn read_type_stats(
-    pool: &mut BufferPool,
-    meta: SectionMeta,
-    what: &str,
-) -> Result<Vec<TypeStats>, DogmatixError> {
-    let n = element_count(meta, 12, what)?;
-    let mut cur = SectionCursor::new(pool, meta);
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(TypeStats {
-            terms: cur.u32()?,
-            tuples: cur.u32()?,
-            postings: cur.u32()?,
-        });
-    }
-    cur.finish();
-    Ok(out)
+    let words = read_words(pool, meta, 8, what)?;
+    Ok(words
+        .chunks_exact(2)
+        .map(|w| Span::new(w[0], w[1]))
+        .collect())
 }
 
 fn read_arena(pool: &mut BufferPool, meta: SectionMeta) -> Result<String, DogmatixError> {
@@ -737,16 +618,19 @@ fn read_arena(pool: &mut BufferPool, meta: SectionMeta) -> Result<String, Dogmat
             meta.byte_len
         )));
     }
-    let mut bytes = vec![0u8; meta.byte_len as usize];
-    let mut cur = SectionCursor::new(pool, meta);
-    cur.read_exact(&mut bytes)?;
-    cur.finish();
+    let mut bytes = Vec::with_capacity(meta.byte_len as usize);
+    stream_section(pool, meta, 0..meta.byte_len, |b| {
+        bytes.extend_from_slice(b);
+        Ok(())
+    })?;
     String::from_utf8(bytes).map_err(|_| snap_err("snapshot corrupted: arena is not valid UTF-8"))
 }
 
-/// Streams every section through the pool and runs the shared
-/// fingerprint + audit tail. Peak pool residency during this call is
-/// bounded by the pool's budget, not the snapshot size.
+/// Streams every section through the pool, checks the fingerprints,
+/// assembles the set and runs the full store audit. Peak pool
+/// residency during this call is bounded by the pool's budget, not the
+/// snapshot size. The returned set carries **no candidate nodes** — the
+/// caller re-attaches the current run's.
 fn decode_paged(
     pool: &mut BufferPool,
     header: &PagedHeader,
@@ -754,56 +638,98 @@ fn decode_paged(
     doc_fingerprint: u64,
 ) -> Result<OdSet, DogmatixError> {
     let sec = |i: usize| header.sections[i];
-    let meta = sec(SEC_META);
-    if meta.byte_len != META_BYTES {
+    if sec(SEC_META).byte_len != META_BYTES {
         return Err(snap_err(format!(
             "paged snapshot corrupted: meta section is {} B (expected {META_BYTES})",
-            meta.byte_len
+            sec(SEC_META).byte_len
         )));
     }
-    let mut cur = SectionCursor::new(pool, meta);
-    let object_count = cur.u32()? as usize;
-    let selection_fp = cur.u64()?;
-    let doc_fp = cur.u64()?;
-    cur.finish();
+    let mut meta = Vec::with_capacity(META_BYTES as usize);
+    stream_section(pool, sec(SEC_META), 0..META_BYTES, |b| {
+        meta.extend_from_slice(b);
+        Ok(())
+    })?;
+    let mut c = Cursor::new(&meta);
+    let object_count = c.u32().map_err(snap_err)?;
+    let selection_fp = c.u64().map_err(snap_err)?;
+    let doc_fp = c.u64().map_err(snap_err)?;
+    if selection_fp != selection_fingerprint(object_count as usize, selections) {
+        return Err(snap_err(
+            "snapshot was built under a different description selection \
+             (or candidate count) — rebuild it with --index-save",
+        ));
+    }
+    if doc_fp != doc_fingerprint {
+        return Err(snap_err(
+            "snapshot was built from different document content — \
+             rebuild it with --index-save",
+        ));
+    }
 
-    let raw = RawColumns {
+    let idf_words = read_words(pool, sec(SEC_TERM_IDFS), 8, "term idfs")?;
+    let stat_words = read_words(pool, sec(SEC_TYPE_STATS), 12, "type stats")?;
+    let store = TermStore::from_parts(
+        read_arena(pool, sec(SEC_ARENA))?,
+        read_spans(pool, sec(SEC_TERM_SPANS), "term spans")?,
+        read_words(pool, sec(SEC_TERM_TYPES), 4, "term types")?,
+        read_words(pool, sec(SEC_TERM_CHAR_LENS), 4, "term char lens")?,
+        idf_words
+            .chunks_exact(2)
+            .map(|w| f64::from_bits(u64::from(w[0]) | u64::from(w[1]) << 32))
+            .collect(),
+        read_words(pool, sec(SEC_POSTING_STARTS), 4, "posting starts")?,
+        read_words(pool, sec(SEC_POSTINGS), 4, "postings")?,
+        read_spans(pool, sec(SEC_TYPE_NAME_SPANS), "type names")?,
+        read_spans(pool, sec(SEC_PATH_NAME_SPANS), "path names")?,
+        stat_words
+            .chunks_exact(3)
+            .map(|w| TypeStats {
+                terms: w[0],
+                tuples: w[1],
+                postings: w[2],
+            })
+            .collect(),
         object_count,
-        selection_fp,
-        doc_fp,
-        arena: read_arena(pool, sec(SEC_ARENA))?,
-        term_norm: read_spans(pool, sec(SEC_TERM_SPANS), "term spans")?,
-        term_type: read_u32s(pool, sec(SEC_TERM_TYPES), "term types")?,
-        term_char_len: read_u32s(pool, sec(SEC_TERM_CHAR_LENS), "term char lens")?,
-        term_idf: read_f64s(pool, sec(SEC_TERM_IDFS), "term idfs")?,
-        posting_starts: read_u32s(pool, sec(SEC_POSTING_STARTS), "posting starts")?,
-        postings: read_u32s(pool, sec(SEC_POSTINGS), "postings")?,
-        type_names: read_spans(pool, sec(SEC_TYPE_NAME_SPANS), "type names")?,
-        path_names: read_spans(pool, sec(SEC_PATH_NAME_SPANS), "path names")?,
-        type_stats: read_type_stats(pool, sec(SEC_TYPE_STATS), "type stats")?,
-        od_starts: read_u32s(pool, sec(SEC_OD_STARTS), "od starts")?,
-        tuple_term: read_u32s(pool, sec(SEC_TUPLE_TERM), "tuple terms")?
+    );
+    let ods = OdSet::from_columns(
+        Vec::new(),
+        store,
+        read_words(pool, sec(SEC_OD_STARTS), 4, "od starts")?,
+        read_words(pool, sec(SEC_TUPLE_TERM), 4, "tuple terms")?
             .into_iter()
             .map(TermId)
             .collect(),
-        tuple_value: read_spans(pool, sec(SEC_TUPLE_VALUE_SPANS), "tuple values")?,
-        tuple_path: read_u32s(pool, sec(SEC_TUPLE_PATH), "tuple paths")?
+        read_spans(pool, sec(SEC_TUPLE_VALUE_SPANS), "tuple values")?,
+        read_words(pool, sec(SEC_TUPLE_PATH), 4, "tuple paths")?
             .into_iter()
             .map(PathId)
             .collect(),
-        od_group_starts: read_u32s(pool, sec(SEC_OD_GROUP_STARTS), "od group starts")?,
-        group_types: read_u32s(pool, sec(SEC_GROUP_TYPES), "group types")?,
-        group_starts: read_u32s(pool, sec(SEC_GROUP_STARTS), "group starts")?,
-        group_tuples: read_u32s(pool, sec(SEC_GROUP_TUPLES), "group tuples")?,
-    };
-    super::assemble_and_audit(raw, selections, doc_fingerprint)
+        read_words(pool, sec(SEC_OD_GROUP_STARTS), 4, "od group starts")?,
+        read_words(pool, sec(SEC_GROUP_TYPES), 4, "group types")?,
+        read_words(pool, sec(SEC_GROUP_STARTS), 4, "group starts")?,
+        read_words(pool, sec(SEC_GROUP_TUPLES), 4, "group tuples")?,
+    );
+
+    // Structural + semantic validation: the live-store auditor checks
+    // everything detection will index (span bounds, CSR monotonicity,
+    // id ranges, posting order) plus the invariants only a full audit
+    // sees (interner consistency, IDF↔posting agreement, group/tuple
+    // cross-consistency) — one shared implementation with the
+    // stage-boundary gates, so a malformed file can never panic the
+    // pipeline later. Construction above is pure moves; nothing indexes
+    // the columns before the audit accepts them.
+    let report = StoreAuditor::audit(&ods);
+    if let Some(v) = report.violations().first() {
+        return Err(snap_err(format!("snapshot fails the store audit: {v}")));
+    }
+    Ok(ods)
 }
 
-/// Verifies and reassembles a paged snapshot from an in-memory image,
-/// through a pool with the given budget. Used by
-/// [`super::load_snapshot`]'s v2 compatibility path.
+/// Verifies and reassembles a snapshot from an in-memory image, through
+/// a pool with the given budget. Used by [`crate::wal`] checkpoint
+/// recovery.
 pub(crate) fn odset_from_paged_bytes(
-    data: &[u8],
+    data: Vec<u8>,
     selections: &HashMap<String, BTreeSet<String>>,
     doc_fingerprint: u64,
     budget: usize,
@@ -814,18 +740,16 @@ pub(crate) fn odset_from_paged_bytes(
 
 // ---- the backend ------------------------------------------------------
 
-/// The out-of-core term-index backend: paged v2 snapshots read through
-/// a pinned buffer pool under a configurable memory budget.
+/// The persistent, out-of-core term-index backend: snapshots read
+/// through a pinned buffer pool under a configurable memory budget.
 ///
 /// [`PagedBackend::open`] loads (the common case); [`PagedBackend::save`]
-/// builds in memory and writes the v2 file. Loading streams the file
-/// page by page, so peak pool residency never exceeds the budget even
-/// when the snapshot is far larger — [`PagedBackend::last_stats`]
+/// builds in memory and writes the snapshot file. Loading streams the
+/// file page by page, so peak pool residency never exceeds the budget
+/// even when the snapshot is far larger — [`PagedBackend::last_stats`]
 /// exposes the pool counters of the most recent load, which the
 /// scaling bench gate asserts against. Results are bit-identical to
-/// [`InMemoryBackend`](super::InMemoryBackend) and the flat
-/// [`SnapshotBackend`](super::SnapshotBackend)
-/// (`tests/equivalence.rs`).
+/// [`InMemoryBackend`](super::InMemoryBackend) (`tests/equivalence.rs`).
 ///
 /// ```no_run
 /// use dogmatix_core::backend::paged::PagedBackend;
@@ -837,7 +761,7 @@ pub(crate) fn odset_from_paged_bytes(
 /// // First run: build in memory and persist the paged index.
 /// Dogmatix::builder()
 ///     .add_type("M", ["/db/m"])
-///     .index_backend(PagedBackend::save("/tmp/dx.v2", 1 << 20))
+///     .index_backend(PagedBackend::save("/tmp/dx.v2"))
 ///     .build()
 ///     .run(&doc, &schema, "M")?;
 /// // Warm start under a 64 KiB pool budget.
@@ -859,8 +783,8 @@ pub struct PagedBackend {
 }
 
 impl PagedBackend {
-    /// A backend that warm-starts from the paged snapshot at `path`,
-    /// holding at most `budget` bytes of pages resident.
+    /// A backend that warm-starts from the snapshot at `path`, holding
+    /// at most `budget` bytes of pages resident.
     pub fn open(path: impl Into<PathBuf>, budget: usize) -> PagedBackend {
         PagedBackend {
             path: path.into(),
@@ -871,13 +795,14 @@ impl PagedBackend {
         }
     }
 
-    /// A backend that builds in memory and saves the paged snapshot to
-    /// `path` (with [`DEFAULT_PAGE_SIZE`] pages unless overridden).
-    pub fn save(path: impl Into<PathBuf>, budget: usize) -> PagedBackend {
+    /// A backend that builds in memory and saves the snapshot to `path`
+    /// (with [`DEFAULT_PAGE_SIZE`] pages unless overridden). Saving
+    /// holds no pool, so [`PagedBackend::budget`] reads 0.
+    pub fn save(path: impl Into<PathBuf>) -> PagedBackend {
         PagedBackend {
             path: path.into(),
             mode: SnapshotMode::Save,
-            budget,
+            budget: 0,
             page_size: DEFAULT_PAGE_SIZE,
             last_stats: Mutex::new(None),
         }
@@ -900,7 +825,7 @@ impl PagedBackend {
         self.mode
     }
 
-    /// The pool memory budget, in bytes.
+    /// The pool memory budget of loads, in bytes.
     pub fn budget(&self) -> usize {
         self.budget
     }
@@ -921,13 +846,13 @@ impl TermIndexBackend for PagedBackend {
         match self.mode {
             SnapshotMode::Save => {
                 let ods = OdSet::build(ctx.doc, ctx.candidates, ctx.selections, ctx.mapping);
-                save_snapshot_paged(
+                let image = paged_snapshot_to_bytes(
                     &ods,
                     ctx.selections,
                     doc_fingerprint(ctx.doc),
-                    &self.path,
                     self.page_size,
                 )?;
+                install(&self.path, &image)?;
                 Ok(Arc::new(ods))
             }
             SnapshotMode::Load => {
@@ -937,8 +862,7 @@ impl TermIndexBackend for PagedBackend {
                 if let Ok(mut guard) = self.last_stats.lock() {
                     *guard = Some(pool.stats());
                 }
-                let ods = super::attach_candidates(ods, ctx.candidates)?;
-                Ok(Arc::new(ods))
+                Ok(Arc::new(attach_candidates(ods, ctx.candidates)?))
             }
         }
     }
@@ -955,11 +879,11 @@ impl TermIndexBackend for Arc<PagedBackend> {
 
 // ---- point access -----------------------------------------------------
 
-/// Random point access over a paged snapshot: term text and posting
-/// lists resolved by pinning exactly the pages a lookup touches. This
-/// is the genuinely out-of-core access path — nothing is decoded up
-/// front, and with a small budget the pool visibly evicts and refaults
-/// under a scattered access pattern ([`PagedReader::stats`]).
+/// Random point access over a snapshot: term text and posting lists
+/// resolved by pinning exactly the pages a lookup touches. This is the
+/// genuinely out-of-core access path — nothing is decoded up front, and
+/// with a small budget the pool visibly evicts and refaults under a
+/// scattered access pattern ([`PagedReader::stats`]).
 #[derive(Debug)]
 pub struct PagedReader {
     pool: BufferPool,
@@ -967,7 +891,7 @@ pub struct PagedReader {
 }
 
 impl PagedReader {
-    /// Opens the paged snapshot at `path` under a pool budget.
+    /// Opens the snapshot at `path` under a pool budget.
     pub fn open(path: impl AsRef<Path>, budget: usize) -> Result<PagedReader, DogmatixError> {
         let (pool, header) = pool_over_file(path.as_ref(), budget)?;
         Ok(PagedReader { pool, header })
@@ -980,18 +904,20 @@ impl PagedReader {
 
     /// Reads `out.len()` bytes at `offset` within section `sec`.
     fn read_at(&mut self, sec: usize, offset: u64, out: &mut [u8]) -> Result<(), DogmatixError> {
-        let meta = self.header.sections[sec];
-        let end = offset
-            .checked_add(out.len() as u64)
-            .filter(|&e| e <= meta.byte_len)
-            .ok_or_else(|| {
-                snap_err("paged snapshot corrupted: point read out of section bounds")
-            })?;
-        let _ = end;
-        let mut cur = SectionCursor::new_at(&mut self.pool, meta, offset);
-        let r = cur.read_exact(out);
-        cur.finish();
-        r
+        let end = offset.checked_add(out.len() as u64).ok_or_else(|| {
+            snap_err("paged snapshot corrupted: point read out of section bounds")
+        })?;
+        let mut written = 0;
+        stream_section(
+            &mut self.pool,
+            self.header.sections[sec],
+            offset..end,
+            |b| {
+                out[written..written + b.len()].copy_from_slice(b);
+                written += b.len();
+                Ok(())
+            },
+        )
     }
 
     fn u32_at(&mut self, sec: usize, index: u64) -> Result<u32, DogmatixError> {
@@ -1005,8 +931,9 @@ impl PagedReader {
     pub fn term_text(&mut self, term: u32) -> Result<String, DogmatixError> {
         let mut span = [0u8; 8];
         self.read_at(SEC_TERM_SPANS, term as u64 * 8, &mut span)?;
-        let start = u32::from_le_bytes([span[0], span[1], span[2], span[3]]);
-        let len = u32::from_le_bytes([span[4], span[5], span[6], span[7]]);
+        let mut c = Cursor::new(&span);
+        let start = c.u32().map_err(snap_err)?;
+        let len = c.u32().map_err(snap_err)?;
         let mut bytes = vec![0u8; len as usize];
         self.read_at(SEC_ARENA, start as u64, &mut bytes)?;
         String::from_utf8(bytes)
@@ -1023,10 +950,8 @@ impl PagedReader {
             .ok_or_else(|| snap_err("paged snapshot corrupted: non-monotonic posting starts"))?;
         let mut bytes = vec![0u8; n as usize * 4];
         self.read_at(SEC_POSTINGS, start as u64 * 4, &mut bytes)?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect())
+        let mut c = Cursor::new(&bytes);
+        (0..n).map(|_| c.u32().map_err(snap_err)).collect()
     }
 
     /// Pool counters so far (hits, misses, evictions, peak residency).
@@ -1038,7 +963,7 @@ impl PagedReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{InMemoryBackend, SnapshotBackend};
+    use crate::backend::InMemoryBackend;
     use crate::pipeline::Dogmatix;
     use dogmatix_xml::{Document, Schema};
 
@@ -1075,7 +1000,7 @@ mod tests {
     fn paged_roundtrip_matches_in_memory_under_a_tight_budget() {
         let path = temp("roundtrip");
         let (doc, schema) = corpus();
-        let cold = detector(PagedBackend::save(&path, 1 << 20).with_page_size(256))
+        let cold = detector(PagedBackend::save(&path).with_page_size(256))
             .run(&doc, &schema, "M")
             .unwrap();
         let backend = Arc::new(PagedBackend::open(&path, 1024));
@@ -1097,23 +1022,10 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_backend_reads_v2_files() {
-        let path = temp("compat");
-        let (doc, schema) = corpus();
-        let cold = detector(PagedBackend::save(&path, 1 << 20))
-            .run(&doc, &schema, "M")
-            .unwrap();
-        let via_flat_backend = detector(SnapshotBackend::load(&path))
-            .run(&doc, &schema, "M")
-            .unwrap();
-        assert_eq!(cold, via_flat_backend);
-    }
-
-    #[test]
     fn paged_reader_point_reads_match_the_decoded_store() {
         let path = temp("points");
         let (doc, schema) = corpus();
-        let dx = detector(PagedBackend::save(&path, 1 << 20).with_page_size(256));
+        let dx = detector(PagedBackend::save(&path).with_page_size(256));
         dx.run(&doc, &schema, "M").unwrap();
 
         // Ground truth from a full in-memory build.
@@ -1138,29 +1050,26 @@ mod tests {
 
     #[test]
     fn version_cross_errors_name_both_versions() {
-        let dir = std::env::temp_dir().join("dx_paged_unit");
-        std::fs::create_dir_all(&dir).unwrap();
+        // A file labelled with the retired flat version 1 (or any other
+        // version) is refused naming its version and the one this build
+        // reads — by the point reader and by the backend.
         let (doc, schema) = corpus();
-
-        // v1 file through the paged reader.
-        let v1 = temp("v1file");
-        detector(SnapshotBackend::save(&v1))
+        let path = temp("relabelled");
+        detector(PagedBackend::save(&path))
             .run(&doc, &schema, "M")
             .unwrap();
-        let err = PagedReader::open(&v1, 1 << 16).unwrap_err();
+        let mut data = std::fs::read(&path).unwrap();
+        data[4..8].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, &data).unwrap();
+        let err = PagedReader::open(&path, 1 << 16).unwrap_err();
         let msg = err.to_string();
-        assert!(msg.contains("flat format (version 1)"), "{msg}");
-        assert!(msg.contains("version 2"), "{msg}");
-
-        // v2 file through the flat-image reader.
-        let v2 = temp("v2file");
-        detector(PagedBackend::save(&v2, 1 << 20))
-            .run(&doc, &schema, "M")
-            .unwrap();
-        let data = std::fs::read(&v2).unwrap();
-        let err = crate::backend::snapshot_from_bytes(&data, &HashMap::new(), 0).unwrap_err();
-        let msg = err.to_string();
-        assert!(msg.contains("paged format (version 2)"), "{msg}");
+        assert!(matches!(err, DogmatixError::Snapshot { .. }), "{msg}");
         assert!(msg.contains("version 1"), "{msg}");
+        assert!(msg.contains("version 2"), "{msg}");
+        let err = detector(PagedBackend::open(&path, 1 << 16))
+            .run(&doc, &schema, "M")
+            .unwrap_err();
+        assert!(err.to_string().contains("version 1"), "{err}");
+        let _ = std::fs::remove_file(&path);
     }
 }

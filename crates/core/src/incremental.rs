@@ -686,11 +686,11 @@ impl IncrementalSession {
         Some((&prev.ods, selections))
     }
 
-    /// Exports the session's current term index as a paged (v2) snapshot
-    /// at `path`, installed atomically (tmp + rename). Unlike a WAL
-    /// checkpoint — which embeds a flat v1 image inside the log — this
-    /// writes a standalone file that [`crate::backend::paged::PagedBackend`]
-    /// or `--index-paged` can later serve under a memory budget.
+    /// Exports the session's current term index as a snapshot at
+    /// `path`, installed atomically (tmp + rename). It is the same DXTS
+    /// image a WAL checkpoint embeds, written as a standalone file that
+    /// [`crate::backend::paged::PagedBackend`] or `--index-load` can
+    /// later serve under a memory budget.
     ///
     /// Only a *clean* session can be exported: the store must describe
     /// the current document, so pending deltas (or a session that never
@@ -708,7 +708,7 @@ impl IncrementalSession {
             crate::backend::doc_fingerprint(self.doc()),
             crate::backend::paged::DEFAULT_PAGE_SIZE,
         )?;
-        crate::backend::atomic_write(path, &image)?;
+        crate::backend::paged::install(path, &image)?;
         Ok(image.len() as u64)
     }
 

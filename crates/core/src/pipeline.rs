@@ -729,9 +729,10 @@ impl DogmatixBuilder {
 
     /// Sets the term-index backend the detector acquires its columnar
     /// [`OdSet`] through — [`crate::backend::InMemoryBackend`] semantics
-    /// are the default; a [`crate::backend::SnapshotBackend`] persists
-    /// the store to a versioned binary file or warm-starts from one
-    /// (CLI: `--index-save` / `--index-load`).
+    /// are the default; a [`crate::backend::paged::PagedBackend`]
+    /// persists the store to a versioned, paged snapshot file or
+    /// warm-starts from one under a memory budget (CLI: `--index-save` /
+    /// `--index-load`).
     ///
     /// A configured backend bypasses the session's OD cache (the backend
     /// owns the state now); the incremental path keeps building in

@@ -48,6 +48,7 @@
 use dogmatix_textsim::idf;
 
 pub mod audit;
+pub(crate) mod codec;
 pub mod pool;
 
 /// A byte range into a store's shared arena.

@@ -1,21 +1,20 @@
 //! A pinned buffer pool for page-granular snapshot access.
 //!
-//! [`crate::backend::paged::PagedBackend`] reads DXTS **v2** snapshots
-//! through this pool instead of slurping the file into RAM: the v2
-//! format (see [`crate::backend::paged`]) splits every store column
-//! into fixed-size pages, and the pool keeps at most
-//! `budget / page_size` of them resident at once. The design is the
-//! classic database buffer manager:
+//! [`crate::backend::paged::PagedBackend`] reads DXTS snapshots through
+//! this pool instead of slurping the file into RAM: the format (see
+//! [`crate::backend::paged`]) splits every store column into fixed-size
+//! pages, and the pool keeps at most `budget / page_size` of them
+//! resident at once. The design is the read side of the classic
+//! database buffer manager:
 //!
 //! * pages are addressed by [`BlockId`] and faulted in from a
 //!   [`PageSource`] on first touch;
 //! * a successful [`BufferPool::pin`] hands back a [`PageRef`] — the
 //!   page cannot be evicted while any `PageRef` to it is live, and the
 //!   ref must be returned through [`BufferPool::unpin`];
-//! * when every frame is occupied, an unpinned victim is chosen by the
-//!   pluggable [`Replacer`] policy ([`LruReplacer`] by default) and its
-//!   frame is recycled — after writing the page back through the source
-//!   if it was dirtied via [`BufferPool::data_mut`];
+//! * when every frame is occupied, the unpinned frame touched least
+//!   recently (strict LRU over per-frame access stamps) is recycled;
+//!   snapshots are immutable, so a frame is never written back;
 //! * [`PoolStats`] counts hits/misses/evictions and tracks the peak
 //!   resident byte count, which the scaling bench gate
 //!   (`benches/paged.rs`) asserts never exceeds the configured budget.
@@ -45,9 +44,9 @@ impl fmt::Display for BlockId {
     }
 }
 
-/// Where the pool faults pages in from (and writes dirty pages back to).
+/// Where the pool faults pages in from.
 ///
-/// Implementations verify their own integrity on read — the v2 snapshot
+/// Implementations verify their own integrity on read — the snapshot
 /// source checks the per-page checksum from the file header before
 /// handing a page to the pool, so a byte flip anywhere in the data
 /// region surfaces as a [`DogmatixError::Snapshot`] at fault-in time.
@@ -63,84 +62,6 @@ pub trait PageSource: fmt::Debug + Send {
     /// Reads page `block` into `buf` (`buf.len() == page_size()`),
     /// verifying integrity.
     fn read_page(&mut self, block: BlockId, buf: &mut [u8]) -> Result<(), DogmatixError>;
-
-    /// Writes page `block` back from `buf`. Sources backing immutable
-    /// snapshots are read-only and keep this default, which refuses the
-    /// write; the pool only calls it for pages dirtied through
-    /// [`BufferPool::data_mut`].
-    fn write_page(&mut self, block: BlockId, _buf: &[u8]) -> Result<(), DogmatixError> {
-        Err(pool_err(format!(
-            "page source is read-only: cannot write back dirty {block}"
-        )))
-    }
-}
-
-/// Eviction policy over frame indices: decides which unpinned frame is
-/// recycled when the pool is full.
-///
-/// The pool drives the protocol: [`Replacer::resize`] once at
-/// construction, [`Replacer::set_evictable`]`(f, false)` whenever frame
-/// `f` gains its first pin, `(f, true)` when its last pin is released,
-/// [`Replacer::record_access`] on every pin, and [`Replacer::victim`]
-/// when a frame must be recycled. A frame marked non-evictable must
-/// never be returned as a victim.
-pub trait Replacer: fmt::Debug + Send {
-    /// Declares the frame-index universe `0..frames`.
-    fn resize(&mut self, frames: usize);
-    /// Notes that `frame` was touched (pin or re-pin).
-    fn record_access(&mut self, frame: usize);
-    /// Marks `frame` as a legal (`true`) or illegal (`false`) victim.
-    fn set_evictable(&mut self, frame: usize, evictable: bool);
-    /// Picks the frame to recycle, or `None` if every frame is pinned.
-    fn victim(&mut self) -> Option<usize>;
-}
-
-/// Strict least-recently-used eviction: the victim is the evictable
-/// frame with the oldest access stamp.
-#[derive(Debug, Default)]
-pub struct LruReplacer {
-    stamps: Vec<u64>,
-    evictable: Vec<bool>,
-    clock: u64,
-}
-
-impl LruReplacer {
-    /// An empty replacer; the pool sizes it via [`Replacer::resize`].
-    pub fn new() -> LruReplacer {
-        LruReplacer::default()
-    }
-}
-
-impl Replacer for LruReplacer {
-    fn resize(&mut self, frames: usize) {
-        self.stamps.resize(frames, 0);
-        self.evictable.resize(frames, false);
-    }
-
-    fn record_access(&mut self, frame: usize) {
-        if let Some(s) = self.stamps.get_mut(frame) {
-            self.clock += 1;
-            *s = self.clock;
-        }
-    }
-
-    fn set_evictable(&mut self, frame: usize, evictable: bool) {
-        if let Some(e) = self.evictable.get_mut(frame) {
-            *e = evictable;
-        }
-    }
-
-    fn victim(&mut self) -> Option<usize> {
-        let victim = self
-            .stamps
-            .iter()
-            .enumerate()
-            .filter(|&(f, _)| self.evictable.get(f).copied().unwrap_or(false))
-            .min_by_key(|&(_, &stamp)| stamp)
-            .map(|(f, _)| f)?;
-        self.evictable[victim] = false;
-        Some(victim)
-    }
 }
 
 /// Counters the pool maintains; snapshot via [`BufferPool::stats`].
@@ -152,8 +73,6 @@ pub struct PoolStats {
     pub misses: u64,
     /// Frames recycled to make room for a faulting page.
     pub evictions: u64,
-    /// Dirty pages written back through the source.
-    pub writebacks: u64,
     /// Total [`BufferPool::pin`] calls that succeeded.
     pub pins: u64,
     /// Total [`BufferPool::unpin`] calls.
@@ -186,9 +105,13 @@ impl PageRef {
 #[derive(Debug)]
 struct Frame {
     data: Box<[u8]>,
-    block: BlockId,
+    /// The resident page; `None` while the frame is empty (freshly
+    /// allocated, or its fault-in failed after eviction).
+    block: Option<BlockId>,
     pin_count: u32,
-    dirty: bool,
+    /// Pool clock at the frame's latest pin: the LRU victim is the
+    /// unpinned frame with the smallest stamp.
+    stamp: u64,
 }
 
 /// A budget-bounded pool of page frames over a [`PageSource`]. See the
@@ -196,31 +119,22 @@ struct Frame {
 #[derive(Debug)]
 pub struct BufferPool {
     source: Box<dyn PageSource>,
-    replacer: Box<dyn Replacer>,
     frames: Vec<Frame>,
     /// block id → frame index, for every resident page.
     table: HashMap<u32, usize>,
     capacity: usize,
     page_size: usize,
+    clock: u64,
     stats: PoolStats,
 }
 
 impl BufferPool {
     /// A pool over `source` holding at most `budget_bytes` of page
-    /// frames, with [`LruReplacer`] eviction. Fails if the budget does
-    /// not admit even one page.
+    /// frames, with least-recently-used eviction. Fails if the budget
+    /// does not admit even one page.
     pub fn new(
         source: Box<dyn PageSource>,
         budget_bytes: usize,
-    ) -> Result<BufferPool, DogmatixError> {
-        BufferPool::with_replacer(source, budget_bytes, Box::new(LruReplacer::new()))
-    }
-
-    /// [`BufferPool::new`] with an explicit eviction policy.
-    pub fn with_replacer(
-        source: Box<dyn PageSource>,
-        budget_bytes: usize,
-        mut replacer: Box<dyn Replacer>,
     ) -> Result<BufferPool, DogmatixError> {
         let page_size = source.page_size();
         if page_size == 0 {
@@ -233,17 +147,16 @@ impl BufferPool {
             )));
         }
         // More frames than the source has pages would never be filled;
-        // capping here also keeps replacer bookkeeping proportional to
-        // the file, so an effectively unbounded budget costs nothing.
+        // capping here also keeps the victim scan proportional to the
+        // file, so an effectively unbounded budget costs nothing.
         let capacity = (budget_bytes / page_size).min(source.page_count().max(1) as usize);
-        replacer.resize(capacity);
         Ok(BufferPool {
             source,
-            replacer,
             frames: Vec::new(),
             table: HashMap::new(),
             capacity,
             page_size,
+            clock: 0,
             stats: PoolStats::default(),
         })
     }
@@ -287,103 +200,78 @@ impl BufferPool {
                 self.source.page_count()
             )));
         }
-        if let Some(&frame_ix) = self.table.get(&block.0) {
-            self.stats.hits += 1;
-            self.stats.pins += 1;
-            let frame = &mut self.frames[frame_ix];
-            frame.pin_count += 1;
-            if frame.pin_count == 1 {
-                self.replacer.set_evictable(frame_ix, false);
+        let frame_ix = match self.table.get(&block.0) {
+            Some(&frame_ix) => {
+                self.stats.hits += 1;
+                frame_ix
             }
-            self.replacer.record_access(frame_ix);
-            return Ok(PageRef {
-                frame: frame_ix,
-                block,
-            });
-        }
-
-        let frame_ix = self.free_frame()?;
-        // Fault the page in before publishing it in the table, so a
-        // failed read leaves the frame empty rather than half-filled.
-        if let Err(e) = self
-            .source
-            .read_page(block, &mut self.frames[frame_ix].data)
-        {
-            self.replacer.set_evictable(frame_ix, true);
-            return Err(e);
-        }
-        self.stats.misses += 1;
+            None => {
+                let frame_ix = self.free_frame()?;
+                // Fault the page in before publishing it in the table,
+                // so a failed read leaves the frame empty (and
+                // unpinned, hence reusable) rather than half-filled.
+                self.source
+                    .read_page(block, &mut self.frames[frame_ix].data)?;
+                self.stats.misses += 1;
+                self.frames[frame_ix].block = Some(block);
+                self.table.insert(block.0, frame_ix);
+                frame_ix
+            }
+        };
         self.stats.pins += 1;
+        self.clock += 1;
         let frame = &mut self.frames[frame_ix];
-        frame.block = block;
-        frame.pin_count = 1;
-        frame.dirty = false;
-        self.table.insert(block.0, frame_ix);
-        self.replacer.set_evictable(frame_ix, false);
-        self.replacer.record_access(frame_ix);
+        frame.pin_count += 1;
+        frame.stamp = self.clock;
         Ok(PageRef {
             frame: frame_ix,
             block,
         })
     }
 
-    /// Finds a frame for a faulting page: allocate a new one while
-    /// under budget, otherwise evict an unpinned victim (writing it
-    /// back first if dirty).
+    /// Finds an empty frame for a faulting page: allocate a new one
+    /// while under budget, otherwise evict the least recently pinned
+    /// unpinned frame.
     fn free_frame(&mut self) -> Result<usize, DogmatixError> {
         if self.frames.len() < self.capacity {
-            let frame_ix = self.frames.len();
             self.frames.push(Frame {
                 data: vec![0u8; self.page_size].into_boxed_slice(),
-                block: BlockId(u32::MAX),
+                block: None,
                 pin_count: 0,
-                dirty: false,
+                stamp: 0,
             });
             self.stats.resident_bytes += self.page_size;
             self.stats.peak_resident_bytes = self
                 .stats
                 .peak_resident_bytes
                 .max(self.stats.resident_bytes);
-            return Ok(frame_ix);
+            return Ok(self.frames.len() - 1);
         }
-        let victim = self.replacer.victim().ok_or_else(|| {
-            pool_err(format!(
-                "buffer pool exhausted: all {} frames pinned (budget {} B) — \
-                 raise --mem-budget or unpin pages",
-                self.capacity,
-                self.capacity * self.page_size
-            ))
-        })?;
-        let frame = &mut self.frames[victim];
-        if frame.pin_count != 0 {
-            // A replacer returning a pinned frame is a policy bug;
-            // refuse rather than corrupt a live pin.
-            return Err(pool_err(format!(
-                "eviction policy chose pinned frame {victim} — refusing to evict"
-            )));
+        let victim = self
+            .frames
+            .iter()
+            .enumerate()
+            .filter(|(_, f)| f.pin_count == 0)
+            .min_by_key(|(_, f)| f.stamp)
+            .map(|(ix, _)| ix)
+            .ok_or_else(|| {
+                pool_err(format!(
+                    "buffer pool exhausted: all {} frames pinned (budget {} B) — \
+                     raise --mem-budget or unpin pages",
+                    self.capacity,
+                    self.capacity * self.page_size
+                ))
+            })?;
+        if let Some(old) = self.frames[victim].block.take() {
+            self.table.remove(&old.0);
+            self.stats.evictions += 1;
         }
-        if frame.dirty {
-            self.source.write_page(frame.block, &frame.data)?;
-            self.frames[victim].dirty = false;
-            self.stats.writebacks += 1;
-        }
-        let old_block = self.frames[victim].block;
-        self.table.remove(&old_block.0);
-        self.stats.evictions += 1;
         Ok(victim)
     }
 
     /// Read access to a pinned page.
     pub fn data(&self, page: &PageRef) -> &[u8] {
         &self.frames[page.frame].data
-    }
-
-    /// Write access to a pinned page; marks it dirty for write-back on
-    /// eviction or [`BufferPool::flush`].
-    pub fn data_mut(&mut self, page: &PageRef) -> &mut [u8] {
-        let frame = &mut self.frames[page.frame];
-        frame.dirty = true;
-        &mut frame.data
     }
 
     /// Releases one pin. When the last pin on a page drops, the page
@@ -393,21 +281,6 @@ impl BufferPool {
         self.stats.unpins += 1;
         let frame = &mut self.frames[page.frame];
         frame.pin_count = frame.pin_count.saturating_sub(1);
-        if frame.pin_count == 0 {
-            self.replacer.set_evictable(page.frame, true);
-        }
-    }
-
-    /// Writes every dirty resident page back through the source.
-    pub fn flush(&mut self) -> Result<(), DogmatixError> {
-        for frame in &mut self.frames {
-            if frame.dirty {
-                self.source.write_page(frame.block, &frame.data)?;
-                frame.dirty = false;
-                self.stats.writebacks += 1;
-            }
-        }
-        Ok(())
     }
 }
 
@@ -415,14 +288,11 @@ impl BufferPool {
 mod tests {
     use super::*;
 
-    /// An in-memory source: page i is filled with byte `i as u8`, and
-    /// writes are remembered so write-back is observable.
+    /// An in-memory source: page i is filled with byte `i as u8`.
     #[derive(Debug)]
     struct VecSource {
         pages: Vec<Vec<u8>>,
         page_size: usize,
-        reads: usize,
-        writes: usize,
     }
 
     impl VecSource {
@@ -430,8 +300,6 @@ mod tests {
             VecSource {
                 pages: (0..page_count).map(|i| vec![i as u8; page_size]).collect(),
                 page_size,
-                reads: 0,
-                writes: 0,
             }
         }
     }
@@ -444,13 +312,7 @@ mod tests {
             self.pages.len() as u32
         }
         fn read_page(&mut self, block: BlockId, buf: &mut [u8]) -> Result<(), DogmatixError> {
-            self.reads += 1;
             buf.copy_from_slice(&self.pages[block.0 as usize]);
-            Ok(())
-        }
-        fn write_page(&mut self, block: BlockId, buf: &[u8]) -> Result<(), DogmatixError> {
-            self.writes += 1;
-            self.pages[block.0 as usize].copy_from_slice(buf);
             Ok(())
         }
     }
@@ -537,49 +399,6 @@ mod tests {
         // Only two distinct pages were touched: two frames allocated.
         assert_eq!(p.stats().resident_bytes, 2 * 64);
         assert_eq!(p.resident_pages(), 2);
-    }
-
-    #[test]
-    fn dirty_pages_write_back_on_eviction_and_flush() {
-        let mut p = pool(4, 1);
-        let a = p.pin(BlockId(0)).unwrap();
-        p.data_mut(&a)[0] = 0xAB;
-        p.unpin(a);
-        // Single frame: faulting page 1 evicts dirty page 0 → write-back.
-        let b = p.pin(BlockId(1)).unwrap();
-        assert_eq!(p.stats().writebacks, 1);
-        p.data_mut(&b)[1] = 0xCD;
-        p.unpin(b);
-        p.flush().unwrap();
-        assert_eq!(p.stats().writebacks, 2);
-        // Re-reading page 0 sees the written-back byte.
-        let c = p.pin(BlockId(0)).unwrap();
-        assert_eq!(p.data(&c)[0], 0xAB);
-        p.unpin(c);
-    }
-
-    #[test]
-    fn read_only_sources_refuse_write_back() {
-        #[derive(Debug)]
-        struct ReadOnly;
-        impl PageSource for ReadOnly {
-            fn page_size(&self) -> usize {
-                8
-            }
-            fn page_count(&self) -> u32 {
-                1
-            }
-            fn read_page(&mut self, _: BlockId, buf: &mut [u8]) -> Result<(), DogmatixError> {
-                buf.fill(7);
-                Ok(())
-            }
-        }
-        let mut p = BufferPool::new(Box::new(ReadOnly), 8).unwrap();
-        let a = p.pin(BlockId(0)).unwrap();
-        p.data_mut(&a)[0] = 1;
-        p.unpin(a);
-        let err = p.flush().unwrap_err();
-        assert!(err.to_string().contains("read-only"), "{err}");
     }
 
     #[test]

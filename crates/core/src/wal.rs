@@ -7,8 +7,8 @@
 //! materialised view durable: every [`DocumentDelta`] is appended to an
 //! append-only, checksummed log **before** it is applied, and a
 //! periodic *checkpoint* persists the session's base state (document +
-//! the interned term store of the last run, reusing the
-//! [`crate::backend`] snapshot format). Recovery loads the latest
+//! the interned term store of the last run, as an embedded
+//! [`crate::backend::paged`] snapshot image). Recovery loads the latest
 //! checkpoint and replays the log suffix — by the differential
 //! guarantee of the incremental pipeline (incremental == batch,
 //! `tests/incremental.rs`), the recovered session is **bit-identical**
@@ -41,11 +41,21 @@
 //! [`Wal::checkpoint`] writes `<log>.ckpt` (atomically: temp file,
 //! fsync, rename) holding the LSN, the session kind (real-world type +
 //! schema mode), the full document, and — when the session is clean —
-//! the interned store as an embedded [`crate::backend`] snapshot image
-//! (magic `DXCK` wraps it). The log is then truncated: recovery costs
-//! O(deltas since last checkpoint), not O(history). Loading validates
-//! the checkpoint checksum, the embedded snapshot's own checksum and
-//! audit, and the document fingerprint binding the two.
+//! the interned store as an embedded DXTS snapshot image
+//! ([`crate::backend::paged`], version 2, default page size), wrapped
+//! in a 24-byte envelope (magic `DXCK`, version, checksum, length). The
+//! log is then truncated: recovery costs O(deltas since last
+//! checkpoint), not O(history). Loading validates the checkpoint
+//! checksum, the embedded snapshot's own version, header and page
+//! checksums and audit, and the document fingerprint binding the two.
+//! The image carries its own version, so the checkpoint envelope's
+//! [`WAL_VERSION`] describes only the envelope and payload layout.
+//!
+//! Frames, deltas and checkpoints are written and read through the
+//! shared little-endian codec (`store::codec`): every length a writer
+//! stores is checked against the limit its reader enforces, so
+//! [`Wal::append`] refuses a frame over 1 GiB up front instead of
+//! acknowledging a frame recovery would drop as a torn tail.
 //!
 //! ## Fsync policy and group commit
 //!
@@ -85,10 +95,12 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::backend::{doc_fingerprint, snapshot_from_bytes, snapshot_to_bytes};
+use crate::backend::paged::{odset_from_paged_bytes, paged_snapshot_to_bytes, DEFAULT_PAGE_SIZE};
+use crate::backend::{attach_candidates, doc_fingerprint};
 use crate::error::DogmatixError;
 use crate::incremental::{DocumentDelta, IncrementalSession};
 use crate::mapping::Mapping;
+use crate::store::codec::{self, put_str, put_u32, put_u64, Cursor};
 use dogmatix_xml::{Document, Schema};
 use std::collections::{BTreeSet, HashMap};
 use std::io::{Seek as _, SeekFrom, Write as _};
@@ -113,12 +125,12 @@ fn wal_err(message: impl Into<String>) -> DogmatixError {
     }
 }
 
-/// Same integrity checksum as the snapshot backend: FNV-1a finished
-/// with splitmix64.
-fn checksum(bytes: &[u8]) -> u64 {
-    let mut h = dogmatix_textsim::Fnv1a::new();
-    h.update(bytes);
-    dogmatix_textsim::mix64(h.finish())
+/// The u32 length field of a frame payload, refused past
+/// [`MAX_FRAME_LEN`] — the limit replay enforces, so every frame the
+/// log acknowledges is one recovery keeps.
+fn frame_len(len: usize) -> Result<u32, DogmatixError> {
+    codec::checked_u32(len, MAX_FRAME_LEN, "log frame payload")
+        .map_err(|e| wal_err(format!("cannot append: {e}")))
 }
 
 /// When the log file is flushed to stable storage.
@@ -196,7 +208,7 @@ impl Wal {
             .map_err(|e| wal_err(format!("cannot create log {}: {e}", path.display())))?;
         let mut header = Vec::with_capacity(LOG_HEADER_LEN as usize);
         header.extend_from_slice(LOG_MAGIC);
-        header.extend_from_slice(&WAL_VERSION.to_le_bytes());
+        put_u32(&mut header, WAL_VERSION);
         file.write_all(&header)
             .and_then(|()| file.sync_data())
             .map_err(|e| wal_err(format!("cannot write log header {}: {e}", path.display())))?;
@@ -243,16 +255,19 @@ impl Wal {
     /// [`Wal::commit`]. Call **before** applying the delta: a frame for
     /// a delta that then fails to apply is harmless (replay skips it
     /// identically), while an applied-but-unlogged delta is lost state.
+    /// A delta whose frame would exceed the 1 GiB frame limit is refused
+    /// with a [`DogmatixError::Wal`] before any byte is written.
     pub fn append(&mut self, delta: &DocumentDelta) -> Result<u64, DogmatixError> {
         let lsn = self.next_lsn;
-        let payload = encode_delta(delta);
+        let payload = encode_delta(delta).map_err(|e| wal_err(format!("cannot append: {e}")))?;
+        let len = frame_len(payload.len())?;
         let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len() + 8);
-        frame.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
-        frame.extend_from_slice(&lsn.to_le_bytes());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        put_u32(&mut frame, FRAME_MAGIC);
+        put_u64(&mut frame, lsn);
+        put_u32(&mut frame, len);
         frame.extend_from_slice(&payload);
-        let sum = checksum(&frame);
-        frame.extend_from_slice(&sum.to_le_bytes());
+        let sum = codec::checksum(&frame);
+        put_u64(&mut frame, sum);
         self.file
             .write_all(&frame)
             .map_err(|e| wal_err(format!("cannot append to log {}: {e}", self.path.display())))?;
@@ -386,25 +401,19 @@ fn recover_at(
         IncrementalSession::new(doc, schema, mapping, &ckpt.rw_type)?
     };
 
-    if let Some(store) = &ckpt.store {
-        let mut ods = snapshot_from_bytes(
-            &store.snapshot,
-            &store.selections,
-            doc_fingerprint(session.doc()),
-        )
-        .map_err(|e| wal_err(format!("checkpoint store snapshot rejected: {e}")))?;
-        let stored = ods.store().object_count();
-        if stored != session.candidates().len() {
-            return Err(wal_err(format!(
-                "checkpoint store holds {stored} objects but the checkpoint document resolves {} \
-                 candidates",
-                session.candidates().len()
-            )));
-        }
+    if let Some(store) = ckpt.store {
         // The snapshot carries no node ids; re-attach the freshly
         // selected candidates (row i of the store was built from
-        // candidate i — both follow document order).
-        ods.set_nodes(session.candidates().nodes.clone());
+        // candidate i — both follow document order). Every page is
+        // resident: the image is already in memory.
+        let ods = odset_from_paged_bytes(
+            store.snapshot,
+            &store.selections,
+            doc_fingerprint(session.doc()),
+            usize::MAX,
+        )
+        .and_then(|ods| attach_candidates(ods, &session.candidates().nodes))
+        .map_err(|e| wal_err(format!("checkpoint store snapshot rejected: {e}")))?;
         session.prefill_extraction(&ods, &store.selections);
     }
 
@@ -486,13 +495,16 @@ fn scan_log(path: &Path, checkpoint_lsn: u64) -> Result<LogScan, DogmatixError> 
             dropped_tail: None,
         });
     }
-    if data.len() < LOG_HEADER_LEN as usize || &data[0..4] != LOG_MAGIC {
+    let mut header = Cursor::new(&data);
+    if header.take(4).ok() != Some(&LOG_MAGIC[..]) {
         return Err(wal_err(format!(
             "{} is not a DogmatiX write-ahead log (bad header magic)",
             path.display()
         )));
     }
-    let version = u32::from_le_bytes([data[4], data[5], data[6], data[7]]);
+    let version = header
+        .u32()
+        .map_err(|e| wal_err(format!("log header {e}")))?;
     if version != WAL_VERSION {
         return Err(wal_err(format!(
             "unsupported log version {version} (this build reads {WAL_VERSION})"
@@ -535,38 +547,31 @@ fn read_frame(
     pos: usize,
     prev_lsn: u64,
 ) -> Result<(u64, DocumentDelta, usize), String> {
-    let header = data
-        .get(pos..pos + FRAME_HEADER_LEN)
-        .ok_or("frame header truncated")?;
-    let magic = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
+    let frame = data.get(pos..).unwrap_or_default();
+    let mut c = Cursor::new(frame);
+    let header = |e: String| format!("frame header {e}");
+    let magic = c.u32().map_err(header)?;
     if magic != FRAME_MAGIC {
         return Err(format!("bad frame magic {magic:#010x}"));
     }
-    let lsn = u64::from_le_bytes([
-        header[4], header[5], header[6], header[7], header[8], header[9], header[10], header[11],
-    ]);
+    let lsn = c.u64().map_err(header)?;
     if lsn <= prev_lsn {
         return Err(format!("LSN {lsn} not after previous LSN {prev_lsn}"));
     }
-    let len = u32::from_le_bytes([header[12], header[13], header[14], header[15]]);
+    let len = c.u32().map_err(header)?;
     if len > MAX_FRAME_LEN {
         return Err(format!("implausible frame length {len}"));
     }
-    let payload_end = pos + FRAME_HEADER_LEN + len as usize;
-    let payload = data
-        .get(pos + FRAME_HEADER_LEN..payload_end)
-        .ok_or("frame payload truncated")?;
-    let stored = data
-        .get(payload_end..payload_end + 8)
-        .ok_or("frame checksum truncated")?;
-    let stored = u64::from_le_bytes([
-        stored[0], stored[1], stored[2], stored[3], stored[4], stored[5], stored[6], stored[7],
-    ]);
-    if checksum(&data[pos..payload_end]) != stored {
+    let payload = c
+        .take(len as usize)
+        .map_err(|e| format!("frame payload {e}"))?;
+    let summed = c.position();
+    let stored = c.u64().map_err(|e| format!("frame checksum {e}"))?;
+    if codec::checksum(&frame[..summed]) != stored {
         return Err("frame checksum mismatch".to_string());
     }
     let delta = decode_delta(payload)?;
-    Ok((lsn, delta, payload_end + 8))
+    Ok((lsn, delta, pos + c.position()))
 }
 
 // ---- delta codec ------------------------------------------------------
@@ -576,22 +581,23 @@ fn read_frame(
 // the identity. Tag byte + u64 LE integers + u32-length-prefixed UTF-8
 // strings round-trip every delta exactly.
 
-fn push_str(buf: &mut Vec<u8>, s: &str) {
-    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    buf.extend_from_slice(s.as_bytes());
+/// A delta string, refused past the frame limit (no frame could hold
+/// it).
+fn push_str(buf: &mut Vec<u8>, s: &str) -> Result<(), String> {
+    put_str(buf, s, MAX_FRAME_LEN, "delta string")
 }
 
-fn encode_delta(delta: &DocumentDelta) -> Vec<u8> {
+fn encode_delta(delta: &DocumentDelta) -> Result<Vec<u8>, String> {
     let mut buf = Vec::new();
     match delta {
         DocumentDelta::InsertXml { parent_path, xml } => {
             buf.push(0);
-            push_str(&mut buf, parent_path);
-            push_str(&mut buf, xml);
+            push_str(&mut buf, parent_path)?;
+            push_str(&mut buf, xml)?;
         }
         DocumentDelta::RemoveObject { index } => {
             buf.push(1);
-            buf.extend_from_slice(&(*index as u64).to_le_bytes());
+            put_u64(&mut buf, *index as u64);
         }
         DocumentDelta::UpdateText {
             index,
@@ -600,10 +606,10 @@ fn encode_delta(delta: &DocumentDelta) -> Vec<u8> {
             value,
         } => {
             buf.push(2);
-            buf.extend_from_slice(&(*index as u64).to_le_bytes());
-            push_str(&mut buf, path);
-            buf.extend_from_slice(&(*occurrence as u64).to_le_bytes());
-            push_str(&mut buf, value);
+            put_u64(&mut buf, *index as u64);
+            push_str(&mut buf, path)?;
+            put_u64(&mut buf, *occurrence as u64);
+            push_str(&mut buf, value)?;
         }
         DocumentDelta::InsertUnder {
             index,
@@ -612,10 +618,10 @@ fn encode_delta(delta: &DocumentDelta) -> Vec<u8> {
             xml,
         } => {
             buf.push(3);
-            buf.extend_from_slice(&(*index as u64).to_le_bytes());
-            push_str(&mut buf, path);
-            buf.extend_from_slice(&(*occurrence as u64).to_le_bytes());
-            push_str(&mut buf, xml);
+            put_u64(&mut buf, *index as u64);
+            push_str(&mut buf, path)?;
+            put_u64(&mut buf, *occurrence as u64);
+            push_str(&mut buf, xml)?;
         }
         DocumentDelta::RemoveElement {
             index,
@@ -623,72 +629,52 @@ fn encode_delta(delta: &DocumentDelta) -> Vec<u8> {
             occurrence,
         } => {
             buf.push(4);
-            buf.extend_from_slice(&(*index as u64).to_le_bytes());
-            push_str(&mut buf, path);
-            buf.extend_from_slice(&(*occurrence as u64).to_le_bytes());
+            put_u64(&mut buf, *index as u64);
+            push_str(&mut buf, path)?;
+            put_u64(&mut buf, *occurrence as u64);
         }
     }
-    buf
+    Ok(buf)
 }
 
-struct PayloadReader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> PayloadReader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or("delta payload truncated")?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-    fn u64(&mut self) -> Result<usize, String> {
-        let b = self.take(8)?;
-        let v = u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]);
-        usize::try_from(v).map_err(|_| format!("delta index {v} exceeds usize"))
-    }
-    fn str(&mut self) -> Result<String, String> {
-        let b = self.take(4)?;
-        let n = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-        let raw = self.take(n as usize)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| "delta string is not UTF-8".to_string())
-    }
+/// A u64 index, occurrence or count field, refused if it does not fit
+/// usize.
+fn read_usize(r: &mut Cursor<'_>) -> Result<usize, String> {
+    let v = r.u64()?;
+    usize::try_from(v).map_err(|_| format!("field value {v} exceeds usize"))
 }
 
 fn decode_delta(payload: &[u8]) -> Result<DocumentDelta, String> {
     let (&tag, rest) = payload.split_first().ok_or("empty delta payload")?;
-    let mut r = PayloadReader { buf: rest, pos: 0 };
+    let r = &mut Cursor::new(rest);
     let delta = match tag {
         0 => DocumentDelta::InsertXml {
             parent_path: r.str()?,
             xml: r.str()?,
         },
-        1 => DocumentDelta::RemoveObject { index: r.u64()? },
+        1 => DocumentDelta::RemoveObject {
+            index: read_usize(r)?,
+        },
         2 => DocumentDelta::UpdateText {
-            index: r.u64()?,
+            index: read_usize(r)?,
             path: r.str()?,
-            occurrence: r.u64()?,
+            occurrence: read_usize(r)?,
             value: r.str()?,
         },
         3 => DocumentDelta::InsertUnder {
-            index: r.u64()?,
+            index: read_usize(r)?,
             path: r.str()?,
-            occurrence: r.u64()?,
+            occurrence: read_usize(r)?,
             xml: r.str()?,
         },
         4 => DocumentDelta::RemoveElement {
-            index: r.u64()?,
+            index: read_usize(r)?,
             path: r.str()?,
-            occurrence: r.u64()?,
+            occurrence: read_usize(r)?,
         },
         other => return Err(format!("unknown delta tag {other}")),
     };
-    if r.pos != r.buf.len() {
+    if !r.is_empty() {
         return Err("trailing bytes after delta payload".to_string());
     }
     Ok(delta)
@@ -698,8 +684,8 @@ fn decode_delta(payload: &[u8]) -> Result<DocumentDelta, String> {
 
 struct CheckpointStore {
     selections: HashMap<String, BTreeSet<String>>,
-    /// A complete `crate::backend` snapshot image (its own header,
-    /// checksum, and payload).
+    /// A complete DXTS snapshot image (its own header, directory, page
+    /// checksums and pages).
     snapshot: Vec<u8>,
 }
 
@@ -725,27 +711,35 @@ fn write_checkpoint(
     session: &IncrementalSession,
     lsn: u64,
 ) -> Result<(), DogmatixError> {
+    let string = |buf: &mut Vec<u8>, s: &str, what: &str| {
+        put_str(buf, s, u32::MAX, what).map_err(|e| wal_err(format!("cannot checkpoint: {e}")))
+    };
     let mut payload = Vec::new();
-    payload.extend_from_slice(&lsn.to_le_bytes());
-    push_str(&mut payload, session.rw_type());
+    put_u64(&mut payload, lsn);
+    string(&mut payload, session.rw_type(), "real-world type")?;
     payload.push(session.infers_schema() as u8);
-    push_str(&mut payload, &session.doc().to_xml());
+    string(&mut payload, &session.doc().to_xml(), "document")?;
     match session.clean_store() {
         Some((ods, selections)) => {
             payload.push(1);
             let mut keys: Vec<&String> = selections.keys().collect();
             keys.sort();
-            payload.extend_from_slice(&(keys.len() as u64).to_le_bytes());
+            put_u64(&mut payload, keys.len() as u64);
             for key in keys {
-                push_str(&mut payload, key);
+                string(&mut payload, key, "selection path")?;
                 let sel = &selections[key];
-                payload.extend_from_slice(&(sel.len() as u64).to_le_bytes());
+                put_u64(&mut payload, sel.len() as u64);
                 for p in sel {
-                    push_str(&mut payload, p);
+                    string(&mut payload, p, "selected path")?;
                 }
             }
-            let image = snapshot_to_bytes(ods, &selections, doc_fingerprint(session.doc()))?;
-            payload.extend_from_slice(&(image.len() as u64).to_le_bytes());
+            let image = paged_snapshot_to_bytes(
+                ods,
+                &selections,
+                doc_fingerprint(session.doc()),
+                DEFAULT_PAGE_SIZE,
+            )?;
+            put_u64(&mut payload, image.len() as u64);
             payload.extend_from_slice(&image);
         }
         None => payload.push(0),
@@ -753,28 +747,14 @@ fn write_checkpoint(
 
     let mut out = Vec::with_capacity(payload.len() + 24);
     out.extend_from_slice(CKPT_MAGIC);
-    out.extend_from_slice(&WAL_VERSION.to_le_bytes());
-    out.extend_from_slice(&checksum(&payload).to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    put_u32(&mut out, WAL_VERSION);
+    put_u64(&mut out, codec::checksum(&payload));
+    put_u64(&mut out, payload.len() as u64);
     out.extend_from_slice(&payload);
 
     let path = checkpoint_path(log_path);
-    let tmp = checkpoint_path(log_path).with_extension("ckpt.tmp");
-    let write = || -> std::io::Result<()> {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&out)?;
-        f.sync_all()?;
-        std::fs::rename(&tmp, &path)?;
-        // Make the rename itself durable where the platform allows
-        // directory fsync; best-effort elsewhere.
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            if let Ok(d) = std::fs::File::open(dir) {
-                let _ = d.sync_all();
-            }
-        }
-        Ok(())
-    };
-    write().map_err(|e| wal_err(format!("cannot write checkpoint {}: {e}", path.display())))
+    codec::atomic_write(&path, &out)
+        .map_err(|e| wal_err(format!("cannot write checkpoint {}: {e}", path.display())))
 }
 
 /// Reads and validates the checkpoint file. Any corruption here is
@@ -782,55 +762,50 @@ fn write_checkpoint(
 fn read_checkpoint(path: &Path) -> Result<Checkpoint, DogmatixError> {
     let data = std::fs::read(path)
         .map_err(|e| wal_err(format!("cannot read checkpoint {}: {e}", path.display())))?;
-    if data.len() < 24 || &data[0..4] != CKPT_MAGIC {
+    let mut envelope = Cursor::new(&data);
+    if data.len() < 24 || envelope.take(4).ok() != Some(&CKPT_MAGIC[..]) {
         return Err(wal_err(format!(
             "{} is not a DogmatiX checkpoint (bad magic)",
             path.display()
         )));
     }
-    let version = u32::from_le_bytes([data[4], data[5], data[6], data[7]]);
+    let fail = |e: String| wal_err(format!("checkpoint corrupted: {e}"));
+    let version = envelope.u32().map_err(fail)?;
     if version != WAL_VERSION {
         return Err(wal_err(format!(
             "unsupported checkpoint version {version} (this build reads {WAL_VERSION})"
         )));
     }
-    let stored = u64::from_le_bytes([
-        data[8], data[9], data[10], data[11], data[12], data[13], data[14], data[15],
-    ]);
-    let payload_len = u64::from_le_bytes([
-        data[16], data[17], data[18], data[19], data[20], data[21], data[22], data[23],
-    ]) as usize;
-    let payload = data
-        .get(24..)
-        .filter(|p| p.len() == payload_len)
+    let stored = envelope.u64().map_err(fail)?;
+    let payload_len = envelope.u64().map_err(fail)?;
+    let payload = envelope
+        .take(data.len() - 24)
+        .ok()
+        .filter(|p| p.len() as u64 == payload_len)
         .ok_or_else(|| wal_err("checkpoint truncated: payload shorter than header claims"))?;
-    if checksum(payload) != stored {
+    if codec::checksum(payload) != stored {
         return Err(wal_err("checkpoint corrupted: checksum mismatch"));
     }
 
-    let fail = |e: String| wal_err(format!("checkpoint corrupted: {e}"));
-    let mut r = PayloadReader {
-        buf: payload,
-        pos: 0,
-    };
-    let lsn = r.u64().map_err(fail)? as u64;
+    let r = &mut Cursor::new(payload);
+    let lsn = r.u64().map_err(fail)?;
     let rw_type = r.str().map_err(fail)?;
-    let infer_schema = r.take(1).map_err(fail)?[0] != 0;
+    let infer_schema = r.u8().map_err(fail)? != 0;
     let doc_xml = r.str().map_err(fail)?;
-    let has_store = r.take(1).map_err(fail)?[0] != 0;
+    let has_store = r.u8().map_err(fail)? != 0;
     let store = if has_store {
-        let n = r.u64().map_err(fail)?;
+        let n = read_usize(r).map_err(fail)?;
         let mut selections = HashMap::with_capacity(n);
         for _ in 0..n {
             let key = r.str().map_err(fail)?;
-            let count = r.u64().map_err(fail)?;
+            let count = read_usize(r).map_err(fail)?;
             let mut sel = BTreeSet::new();
             for _ in 0..count {
                 sel.insert(r.str().map_err(fail)?);
             }
             selections.insert(key, sel);
         }
-        let image_len = r.u64().map_err(fail)?;
+        let image_len = read_usize(r).map_err(fail)?;
         let snapshot = r.take(image_len).map_err(fail)?.to_vec();
         Some(CheckpointStore {
             selections,
@@ -839,7 +814,7 @@ fn read_checkpoint(path: &Path) -> Result<Checkpoint, DogmatixError> {
     } else {
         None
     };
-    if r.pos != payload.len() {
+    if !r.is_empty() {
         return Err(wal_err(
             "checkpoint corrupted: trailing bytes after payload",
         ));
@@ -902,13 +877,13 @@ mod tests {
             },
         ];
         for d in &deltas {
-            let bytes = encode_delta(d);
+            let bytes = encode_delta(d).unwrap();
             assert_eq!(&decode_delta(&bytes).unwrap(), d);
         }
         assert!(decode_delta(&[]).is_err());
         assert!(decode_delta(&[9]).is_err());
         // Trailing garbage after a well-formed delta is corruption.
-        let mut bytes = encode_delta(&deltas[1]);
+        let mut bytes = encode_delta(&deltas[1]).unwrap();
         bytes.push(0);
         assert!(decode_delta(&bytes).is_err());
     }
@@ -1063,6 +1038,55 @@ mod tests {
             IncrementalSession::recover(&log2, dx.mapping(), Some(schema2), FsyncPolicy::Never)
                 .unwrap_err();
         assert_eq!(err.kind(), "wal");
+    }
+
+    #[test]
+    fn frames_past_the_replay_limit_are_refused_before_writing() {
+        // The limit check itself, at the boundary, without allocating a
+        // gigabyte: the writer refuses exactly what replay would drop.
+        assert_eq!(
+            frame_len(MAX_FRAME_LEN as usize).unwrap(),
+            MAX_FRAME_LEN,
+            "the limit itself is a legal frame"
+        );
+        let err = frame_len(MAX_FRAME_LEN as usize + 1).unwrap_err();
+        assert!(matches!(err, DogmatixError::Wal { .. }), "{err}");
+        assert!(
+            err.to_string().contains(&MAX_FRAME_LEN.to_string()),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn checkpoint_images_of_another_version_fail_recovery_cleanly() {
+        let log = temp_log("image_version");
+        let dx = detector();
+        let mut s = dx.incremental_session_inferred(corpus(), "M").unwrap();
+        let mut wal = Wal::create(&log, &s, FsyncPolicy::Never).unwrap();
+        dx.detect_delta(&mut s, &[]).unwrap();
+        wal.checkpoint(&s).unwrap();
+        drop(wal);
+        // Relabel the embedded image (found by its DXTS magic) as the
+        // retired flat version 1, and re-seal the envelope checksum so
+        // only the image's own version check can object.
+        let ckpt = checkpoint_path(&log);
+        let mut data = std::fs::read(&ckpt).unwrap();
+        let at = data
+            .windows(4)
+            .position(|w| w == b"DXTS")
+            .expect("clean checkpoint embeds a store image");
+        for version in [1u32, 3] {
+            data[at + 4..at + 8].copy_from_slice(&version.to_le_bytes());
+            let sum = codec::checksum(&data[24..]);
+            data[8..16].copy_from_slice(&sum.to_le_bytes());
+            std::fs::write(&ckpt, &data).unwrap();
+            let err = IncrementalSession::recover(&log, dx.mapping(), None, FsyncPolicy::Never)
+                .unwrap_err();
+            assert!(matches!(err, DogmatixError::Wal { .. }), "{err}");
+            let msg = err.to_string();
+            assert!(msg.contains(&format!("version {version}")), "{msg}");
+            assert!(msg.contains("version 2"), "{msg}");
+        }
     }
 
     #[test]

@@ -23,18 +23,17 @@
 //!                          provable superset at θ_tuple) or banded
 //!                          MinHash LSH (48 bands × 2 rows)
 //!   --index-save <file>    persist the columnar term index to a
-//!                          versioned binary snapshot after building it
+//!                          versioned, paged snapshot (fixed-size pages
+//!                          behind a checksummed page directory) after
+//!                          building it
 //!   --index-load <file>    warm-start from a snapshot written by
 //!                          --index-save (skips extraction + interning;
-//!                          the corpus and selection must match)
-//!   --index-paged          use the paged (v2) snapshot format: saves
-//!                          write fixed-size pages behind a page
-//!                          directory, loads stream them through a
-//!                          pinned buffer pool instead of reading the
-//!                          whole index into RAM
-//!   --mem-budget <bytes>   buffer-pool memory budget for --index-paged
-//!                          loads (default 67108864 = 64 MiB); peak
-//!                          pool residency never exceeds it
+//!                          the corpus and selection must match); pages
+//!                          stream through a pinned buffer pool instead
+//!                          of reading the whole index into RAM
+//!   --mem-budget <bytes>   buffer-pool memory budget for --index-load
+//!                          (default 67108864 = 64 MiB); peak pool
+//!                          residency never exceeds it
 //!   --shards <N>           execute the pair plan through the sharded
 //!                          driver with N shards; 0 = one per core
 //!   --no-filter            disable comparison reduction
@@ -72,7 +71,6 @@
 
 use dogmatix_repro::core::auto;
 use dogmatix_repro::core::backend::paged::PagedBackend;
-use dogmatix_repro::core::backend::SnapshotBackend;
 use dogmatix_repro::core::filter::{MinHashLshBlocking, QGramBlocking};
 use dogmatix_repro::core::fusion::{fuse_clusters, FusionConfig};
 use dogmatix_repro::core::heuristics::{table4_heuristic, HeuristicExpr};
@@ -100,7 +98,6 @@ struct Options {
     shards: Option<usize>,
     index_save: Option<String>,
     index_load: Option<String>,
-    index_paged: bool,
     mem_budget: Option<usize>,
     use_filter: bool,
     fuse: bool,
@@ -149,7 +146,6 @@ const KNOWN_FLAGS: &[&str] = &[
     "--shards",
     "--index-save",
     "--index-load",
-    "--index-paged",
     "--mem-budget",
     "--no-filter",
     "--fuse",
@@ -194,7 +190,6 @@ fn parse_args() -> Result<Options, String> {
         shards: None,
         index_save: None,
         index_load: None,
-        index_paged: false,
         mem_budget: None,
         use_filter: true,
         fuse: false,
@@ -246,7 +241,6 @@ fn parse_args() -> Result<Options, String> {
             }
             "--index-save" => opts.index_save = Some(value("--index-save")?),
             "--index-load" => opts.index_load = Some(value("--index-load")?),
-            "--index-paged" => opts.index_paged = true,
             "--mem-budget" => {
                 opts.mem_budget = Some(
                     value("--mem-budget")?
@@ -291,11 +285,8 @@ fn parse_args() -> Result<Options, String> {
             "--index-save/--index-load apply to batch runs, not --deltas replay".to_string(),
         );
     }
-    if opts.index_paged && opts.index_save.is_none() && opts.index_load.is_none() {
-        return Err("--index-paged needs --index-save or --index-load".to_string());
-    }
-    if opts.mem_budget.is_some() && !opts.index_paged {
-        return Err("--mem-budget only applies to --index-paged".to_string());
+    if opts.mem_budget.is_some() && opts.index_load.is_none() {
+        return Err("--mem-budget only applies to --index-load".to_string());
     }
     if opts.probe.is_some() && opts.deltas.is_some() {
         return Err("--probe is a one-shot point-query, not a --deltas replay".to_string());
@@ -309,7 +300,7 @@ const HELP: &str = "usage: dogmatix <input.xml> --type <NAME> \
 [--theta-tuple f] [--theta-cand f] [--threads N] \
 [--edit-kernel scalar|bitpar] [--blocking qgram|lsh] \
 [--shards N] [--no-filter] [--fuse] \
-[--index-save f | --index-load f] [--index-paged [--mem-budget bytes]] \
+[--index-save f | --index-load f [--mem-budget bytes]] \
 [--output out.xml] [--deltas script.txt] \
 [--probe '<xml>' [--probe-k N]] [--emit-queries]";
 
@@ -399,27 +390,17 @@ fn run(opts: Options) -> Result<(), String> {
     if let Some(shards) = opts.shards {
         builder = builder.sharded(shards);
     }
-    let mem_budget = opts.mem_budget.unwrap_or(64 << 20);
     if let Some(path) = &opts.index_save {
-        if opts.index_paged {
-            builder = builder.index_backend(PagedBackend::save(path, mem_budget));
-            eprintln!("note: paged (v2) term-index snapshot will be written to {path}");
-        } else {
-            builder = builder.index_backend(SnapshotBackend::save(path));
-            eprintln!("note: term-index snapshot will be written to {path}");
-        }
+        builder = builder.index_backend(PagedBackend::save(path));
+        eprintln!("note: term-index snapshot will be written to {path}");
     }
     if let Some(path) = &opts.index_load {
-        if opts.index_paged {
-            builder = builder.index_backend(PagedBackend::open(path, mem_budget));
-            eprintln!(
-                "note: warm-starting from paged term-index snapshot {path} \
-                 under a {mem_budget} B pool budget"
-            );
-        } else {
-            builder = builder.index_backend(SnapshotBackend::load(path));
-            eprintln!("note: warm-starting from term-index snapshot {path}");
-        }
+        let mem_budget = opts.mem_budget.unwrap_or(64 << 20);
+        builder = builder.index_backend(PagedBackend::open(path, mem_budget));
+        eprintln!(
+            "note: warm-starting from term-index snapshot {path} \
+             under a {mem_budget} B pool budget"
+        );
     }
     let dx = builder.build();
 

@@ -365,7 +365,10 @@ fn index_save_then_load_produces_identical_output() {
     );
     let warm = std::fs::read_to_string(&warm_path).expect("warm output written");
     assert_eq!(cold, warm, "snapshot warm start must be bit-identical");
-    assert!(String::from_utf8_lossy(&load_out.stderr).contains("warm-starting"));
+    let stderr = String::from_utf8_lossy(&load_out.stderr);
+    assert!(stderr.contains("warm-starting"), "{stderr}");
+    // Without --mem-budget the load runs under the 64 MiB default.
+    assert!(stderr.contains("67108864 B pool budget"), "{stderr}");
     let _ = std::fs::remove_dir_all(&paths.dir);
 }
 
@@ -484,13 +487,12 @@ fn probe_conflicts_with_deltas() {
 #[test]
 fn index_paged_save_then_load_produces_identical_output() {
     let paths = write_sample();
-    let index = paths.dir.join("movies.dxts2");
+    let index = paths.dir.join("movies.dxts");
     let save_out = dogmatix()
         .arg(&paths.input)
         .args(["--type", "MOVIE"])
         .args(["--mapping", paths.mapping.to_str().unwrap()])
         .args(["--index-save", index.to_str().unwrap()])
-        .arg("--index-paged")
         .args(["--output", paths.output.to_str().unwrap()])
         .output()
         .expect("binary runs");
@@ -499,13 +501,12 @@ fn index_paged_save_then_load_produces_identical_output() {
         "{}",
         String::from_utf8_lossy(&save_out.stderr)
     );
-    assert!(String::from_utf8_lossy(&save_out.stderr).contains("paged (v2)"));
-    let image = std::fs::read(&index).expect("paged snapshot written");
+    let image = std::fs::read(&index).expect("snapshot written");
     assert_eq!(&image[0..4], b"DXTS", "magic");
     assert_eq!(
         u32::from_le_bytes([image[4], image[5], image[6], image[7]]),
         2,
-        "paged snapshots carry format version 2"
+        "--index-save writes the paged format, version 2"
     );
     let cold = std::fs::read_to_string(&paths.output).expect("output written");
 
@@ -517,7 +518,7 @@ fn index_paged_save_then_load_produces_identical_output() {
         .args(["--type", "MOVIE"])
         .args(["--mapping", paths.mapping.to_str().unwrap()])
         .args(["--index-load", index.to_str().unwrap()])
-        .args(["--index-paged", "--mem-budget", "8192"])
+        .args(["--mem-budget", "8192"])
         .args(["--output", warm_path.to_str().unwrap()])
         .output()
         .expect("binary runs");
@@ -526,61 +527,40 @@ fn index_paged_save_then_load_produces_identical_output() {
         "{}",
         String::from_utf8_lossy(&load_out.stderr)
     );
-    assert!(String::from_utf8_lossy(&load_out.stderr).contains("pool budget"));
+    assert!(String::from_utf8_lossy(&load_out.stderr).contains("8192 B pool budget"));
     let warm = std::fs::read_to_string(&warm_path).expect("warm output written");
-    assert_eq!(cold, warm, "paged warm start must be bit-identical");
+    assert_eq!(cold, warm, "budgeted warm start must be bit-identical");
 
-    // Version compatibility: the flat loader reads v2 files too.
-    let compat_path = paths.dir.join("warm-compat.xml");
-    let compat_out = dogmatix()
-        .arg(&paths.input)
-        .args(["--type", "MOVIE"])
-        .args(["--mapping", paths.mapping.to_str().unwrap()])
-        .args(["--index-load", index.to_str().unwrap()])
-        .args(["--output", compat_path.to_str().unwrap()])
-        .output()
-        .expect("binary runs");
-    assert!(
-        compat_out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&compat_out.stderr)
-    );
-    let compat = std::fs::read_to_string(&compat_path).expect("compat output written");
-    assert_eq!(cold, compat, "v2 file via plain --index-load diverged");
     let _ = std::fs::remove_dir_all(&paths.dir);
 }
 
 #[test]
 fn paged_flags_are_validated() {
     let paths = write_sample();
-    // --index-paged without a snapshot flag is meaningless.
-    let out = dogmatix()
-        .arg(&paths.input)
-        .args(["--type", "MOVIE"])
-        .arg("--index-paged")
-        .output()
-        .expect("binary runs");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr)
-        .contains("--index-paged needs --index-save or --index-load"));
-
-    // --mem-budget only modifies --index-paged.
-    let out = dogmatix()
-        .arg(&paths.input)
-        .args(["--type", "MOVIE"])
-        .args(["--index-save", "a.index", "--mem-budget", "8192"])
-        .output()
-        .expect("binary runs");
-    assert!(!out.status.success());
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("--mem-budget only applies to --index-paged")
-    );
+    // --mem-budget only bounds a load's buffer pool.
+    for flags in [
+        &["--index-save", "a.index", "--mem-budget", "8192"][..],
+        &["--mem-budget", "8192"][..],
+    ] {
+        let out = dogmatix()
+            .arg(&paths.input)
+            .args(["--type", "MOVIE"])
+            .args(flags)
+            .output()
+            .expect("binary runs");
+        assert!(!out.status.success());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--mem-budget only applies to --index-load"),
+            "{stderr}"
+        );
+    }
 
     // Non-numeric budgets are named, not panicked over.
     let out = dogmatix()
         .arg(&paths.input)
         .args(["--type", "MOVIE"])
-        .args(["--index-save", "a.index", "--index-paged"])
+        .args(["--index-load", "a.index"])
         .args(["--mem-budget", "lots"])
         .output()
         .expect("binary runs");

@@ -197,11 +197,13 @@ fn sweep_over_one_session_matches_independent_runs() {
 }
 
 /// The snapshot-backend path: a run that persists its term index and a
-/// run warm-started from that snapshot must both equal the legacy
-/// in-memory result exactly — on both corpora, sequential and sharded.
+/// run warm-started from that snapshot (under the CLI's default 64 MiB
+/// pool budget, where every page stays resident) must both equal the
+/// legacy in-memory result exactly — on both corpora, sequential and
+/// sharded.
 #[test]
 fn snapshot_warm_start_equivalence_on_both_corpora() {
-    use dogmatix_repro::core::backend::SnapshotBackend;
+    use dogmatix_repro::core::backend::paged::PagedBackend;
 
     let cd = {
         let (doc, _) = dataset1_sized(21, 60);
@@ -229,7 +231,7 @@ fn snapshot_warm_start_equivalence_on_both_corpora() {
             "dogmatix-equivalence-{}-{tag}.index",
             std::process::id()
         ));
-        let build = |backend: Option<SnapshotBackend>, shards: Option<usize>| {
+        let build = |backend: Option<PagedBackend>, shards: Option<usize>| {
             let mut b = Dogmatix::builder()
                 .mapping(mapping.clone())
                 .heuristic(heuristic.clone())
@@ -248,12 +250,12 @@ fn snapshot_warm_start_equivalence_on_both_corpora() {
             !reference.duplicate_pairs.is_empty(),
             "{tag} has duplicates"
         );
-        let saved = build(Some(SnapshotBackend::save(&path)), None);
+        let saved = build(Some(PagedBackend::save(&path)), None);
         assert_eq!(reference, saved, "{tag}: save path diverged");
-        let warm = build(Some(SnapshotBackend::load(&path)), None);
+        let warm = build(Some(PagedBackend::open(&path, 64 << 20)), None);
         assert_eq!(reference, warm, "{tag}: warm start diverged");
         for shards in [2usize, 0] {
-            let sharded_warm = build(Some(SnapshotBackend::load(&path)), Some(shards));
+            let sharded_warm = build(Some(PagedBackend::open(&path, 64 << 20)), Some(shards));
             assert_eq!(
                 reference, sharded_warm,
                 "{tag}: sharded ({shards}) warm start diverged"
@@ -505,9 +507,7 @@ fn paged_backend_equivalence_on_both_corpora() {
         };
         let reference = build(None, None);
         let saved = build(
-            Some(Arc::new(
-                PagedBackend::save(&path, BUDGET).with_page_size(512),
-            )),
+            Some(Arc::new(PagedBackend::save(&path).with_page_size(512))),
             None,
         );
         assert_eq!(reference, saved, "{tag}: paged save path diverged");

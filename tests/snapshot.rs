@@ -1,19 +1,18 @@
 //! Differential + robustness suite for the persistent term-index
-//! snapshot backend (`dogmatix_core::backend`):
+//! snapshot backend (`dogmatix_core::backend::paged`):
 //!
 //! * **round trip** — build store → save → load → detection output
 //!   bit-identical to the in-memory build, on the seeded CD and movie
 //!   corpora, sequential and sharded;
-//! * **robustness** — corrupted, truncated, and wrong-version snapshot
-//!   files are rejected with a `DogmatixError::Snapshot` and never
-//!   panic, for *every* byte position (flip) and prefix length
-//!   (truncation) the property cases sample.
+//! * **robustness** — corrupted, truncated, padded and wrong-version
+//!   snapshot files are rejected with a `DogmatixError::Snapshot` and
+//!   never panic, for *every* byte position (flip), prefix length
+//!   (truncation) and padding length the property cases sample.
 //!
 //! The number of property cases honours the `PROPTEST_CASES` override
 //! (ci.sh raises it to 128).
 
-use dogmatix_repro::core::backend::paged::{PagedBackend, PagedReader};
-use dogmatix_repro::core::backend::{SnapshotBackend, TermIndexBackend};
+use dogmatix_repro::core::backend::paged::PagedBackend;
 use dogmatix_repro::core::heuristics::{table4_heuristic, HeuristicExpr};
 use dogmatix_repro::core::pipeline::{DetectionResult, Dogmatix};
 use dogmatix_repro::core::store::pool::{BlockId, BufferPool, PageSource};
@@ -61,7 +60,10 @@ fn movie_corpus() -> Corpus {
     }
 }
 
-fn detector(c: &Corpus, backend: Option<SnapshotBackend>, shards: Option<usize>) -> Dogmatix {
+/// A roomy pool budget: every page of the test snapshots fits.
+const ROOMY: usize = 1 << 20;
+
+fn detector(c: &Corpus, backend: Option<PagedBackend>, shards: Option<usize>) -> Dogmatix {
     let mut b = Dogmatix::builder()
         .mapping(c.mapping.clone())
         .heuristic(c.heuristic.clone())
@@ -76,7 +78,7 @@ fn detector(c: &Corpus, backend: Option<SnapshotBackend>, shards: Option<usize>)
     b.build()
 }
 
-fn run(c: &Corpus, backend: Option<SnapshotBackend>, shards: Option<usize>) -> DetectionResult {
+fn run(c: &Corpus, backend: Option<PagedBackend>, shards: Option<usize>) -> DetectionResult {
     detector(c, backend, shards)
         .run(&c.doc, &c.schema, c.rw_type)
         .expect("detection runs")
@@ -87,9 +89,9 @@ fn cd_and_movie_snapshot_roundtrips_are_bit_identical() {
     for (tag, corpus) in [("cd", cd_corpus()), ("movie", movie_corpus())] {
         let path = temp_path(tag);
         let in_memory = run(&corpus, None, None);
-        let saved = run(&corpus, Some(SnapshotBackend::save(&path)), None);
+        let saved = run(&corpus, Some(PagedBackend::save(&path)), None);
         assert_eq!(in_memory, saved, "{tag}: save run must not change results");
-        let loaded = run(&corpus, Some(SnapshotBackend::load(&path)), None);
+        let loaded = run(&corpus, Some(PagedBackend::open(&path, ROOMY)), None);
         assert_eq!(in_memory, loaded, "{tag}: warm start must be bit-identical");
         assert!(
             !in_memory.duplicate_pairs.is_empty(),
@@ -97,7 +99,11 @@ fn cd_and_movie_snapshot_roundtrips_are_bit_identical() {
         );
         // The snapshot path composes with sharded execution.
         for shards in [1usize, 2, 8, 0] {
-            let sharded = run(&corpus, Some(SnapshotBackend::load(&path)), Some(shards));
+            let sharded = run(
+                &corpus,
+                Some(PagedBackend::open(&path, ROOMY)),
+                Some(shards),
+            );
             assert_eq!(
                 in_memory, sharded,
                 "{tag}: snapshot + {shards} shards diverged"
@@ -113,12 +119,12 @@ fn snapshot_reload_across_detector_instances_matches() {
     // through a brand-new detector + session over a re-parsed document.
     let corpus = cd_corpus();
     let path = temp_path("reparse");
-    let cold = run(&corpus, Some(SnapshotBackend::save(&path)), None);
+    let cold = run(&corpus, Some(PagedBackend::save(&path)), None);
     let reparsed = Corpus {
         doc: Document::parse(&corpus.doc.to_xml()).expect("roundtrip parse"),
         ..cd_corpus()
     };
-    let warm = run(&reparsed, Some(SnapshotBackend::load(&path)), None);
+    let warm = run(&reparsed, Some(PagedBackend::open(&path, ROOMY)), None);
     assert_eq!(cold.duplicate_pairs, warm.duplicate_pairs);
     assert_eq!(cold.clusters, warm.clusters);
     assert_eq!(cold.f_values, warm.f_values);
@@ -126,126 +132,25 @@ fn snapshot_reload_across_detector_instances_matches() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// A reference snapshot built once for the corruption properties.
-fn reference_snapshot() -> (Corpus, Vec<u8>) {
-    let corpus = cd_corpus();
-    let path = temp_path(&format!(
-        "reference-{}",
-        std::thread::current()
-            .name()
-            .unwrap_or("t")
-            .replace("::", "-")
-    ));
-    let _ = run(&corpus, Some(SnapshotBackend::save(&path)), None);
-    let bytes = std::fs::read(&path).expect("snapshot written");
-    let _ = std::fs::remove_file(&path);
-    (corpus, bytes)
-}
-
-/// Loading an arbitrary mutation of a valid snapshot must either fail
-/// with a `DogmatixError` or succeed with the untouched result — never
-/// panic, never return garbage.
-fn assert_mutation_handled(
-    corpus: &Corpus,
-    original: &DetectionResult,
-    mutated: &[u8],
-    what: &str,
-) {
-    let path = temp_path(&format!(
-        "mutated-{}",
-        std::thread::current()
-            .name()
-            .unwrap_or("t")
-            .replace("::", "-")
-    ));
-    std::fs::write(&path, mutated).expect("write mutated snapshot");
-    let outcome = detector(corpus, Some(SnapshotBackend::load(&path)), None).run(
-        &corpus.doc,
-        &corpus.schema,
-        corpus.rw_type,
-    );
-    let _ = std::fs::remove_file(&path);
-    match outcome {
-        Err(DogmatixError::Snapshot { .. }) => {}
-        Err(other) => panic!("{what}: unexpected error kind {other}"),
-        Ok(result) => assert_eq!(
-            &result, original,
-            "{what}: a mutation that loads must be a no-op mutation"
-        ),
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(
-        std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(24)
-    ))]
-
-    #[test]
-    fn corrupted_snapshots_never_panic(position in 0usize..100_000, byte in 0u8..=255) {
-        let (corpus, bytes) = reference_snapshot();
-        let original = run(&corpus, None, None);
-        let mut mutated = bytes.clone();
-        let pos = position % mutated.len();
-        mutated[pos] = byte;
-        assert_mutation_handled(&corpus, &original, &mutated, "byte flip");
-    }
-
-    #[test]
-    fn truncated_snapshots_never_panic(cut in 0usize..100_000) {
-        let (corpus, bytes) = reference_snapshot();
-        let cut = cut % bytes.len();
-        let truncated = &bytes[..cut];
-        let path = temp_path(&format!(
-            "truncated-{}",
-            std::thread::current().name().unwrap_or("t").replace("::", "-")
-        ));
-        std::fs::write(&path, truncated).expect("write truncated snapshot");
-        let outcome = detector(&corpus, Some(SnapshotBackend::load(&path)), None).run(
-            &corpus.doc,
-            &corpus.schema,
-            corpus.rw_type,
-        );
-        let _ = std::fs::remove_file(&path);
-        prop_assert!(
-            matches!(outcome, Err(DogmatixError::Snapshot { .. })),
-            "truncation to {cut} bytes must be rejected"
-        );
-    }
-}
-
 #[test]
 fn wrong_version_snapshots_are_rejected() {
-    let (corpus, bytes) = reference_snapshot();
-    for version in [0u32, 7, u32::MAX] {
+    // The retired flat version 1 and unknown versions are refused, and
+    // the refusal names the one version this build reads.
+    let (corpus, bytes) = reference_paged_snapshot();
+    for version in [0u32, 1, 3, 7, u32::MAX] {
         let mut mutated = bytes.clone();
         mutated[4..8].copy_from_slice(&version.to_le_bytes());
         let path = temp_path("wrong-version");
         std::fs::write(&path, &mutated).expect("write");
-        let err = detector(&corpus, Some(SnapshotBackend::load(&path)), None)
+        let err = detector(&corpus, Some(PagedBackend::open(&path, ROOMY)), None)
             .run(&corpus.doc, &corpus.schema, corpus.rw_type)
             .unwrap_err();
         let _ = std::fs::remove_file(&path);
-        // An unknown version names every version this build CAN read.
+        assert!(matches!(err, DogmatixError::Snapshot { .. }), "{err}");
         let msg = err.to_string();
         assert!(msg.contains(&format!("version {version}")), "{msg}");
-        assert!(msg.contains("version 1"), "{msg}");
         assert!(msg.contains("version 2"), "{msg}");
     }
-    // Version 2 is real: relabelling a v1 image as paged routes it to
-    // the paged parser, which rejects the impostor as corrupt rather
-    // than misreading it.
-    let mut mutated = bytes.clone();
-    mutated[4..8].copy_from_slice(&2u32.to_le_bytes());
-    let path = temp_path("forged-v2");
-    std::fs::write(&path, &mutated).expect("write");
-    let err = detector(&corpus, Some(SnapshotBackend::load(&path)), None)
-        .run(&corpus.doc, &corpus.schema, corpus.rw_type)
-        .unwrap_err();
-    let _ = std::fs::remove_file(&path);
-    assert!(
-        matches!(err, DogmatixError::Snapshot { .. }),
-        "forged v2 label must be rejected: {err}"
-    );
 }
 
 #[test]
@@ -254,13 +159,13 @@ fn snapshot_against_a_mutated_corpus_is_rejected() {
     // the candidate count no longer matches.
     let corpus = cd_corpus();
     let path = temp_path("stale-corpus");
-    let _ = run(&corpus, Some(SnapshotBackend::save(&path)), None);
+    let _ = run(&corpus, Some(PagedBackend::save(&path)), None);
     let (bigger_doc, _) = dataset1_sized(42, 60);
     let bigger = Corpus {
         doc: bigger_doc,
         ..cd_corpus()
     };
-    let err = detector(&bigger, Some(SnapshotBackend::load(&path)), None)
+    let err = detector(&bigger, Some(PagedBackend::open(&path, ROOMY)), None)
         .run(&bigger.doc, &bigger.schema, bigger.rw_type)
         .unwrap_err();
     let _ = std::fs::remove_file(&path);
@@ -276,7 +181,7 @@ fn snapshot_against_edited_content_same_shape_is_rejected() {
     // untouched — only the document-content fingerprint catches it.
     let corpus = cd_corpus();
     let path = temp_path("edited-content");
-    let _ = run(&corpus, Some(SnapshotBackend::save(&path)), None);
+    let _ = run(&corpus, Some(PagedBackend::save(&path)), None);
     let xml = corpus.doc.to_xml();
     let needle = xml
         .match_indices("<artist>")
@@ -295,7 +200,7 @@ fn snapshot_against_edited_content_same_shape_is_rejected() {
         doc: Document::parse(&edited).expect("edited corpus parses"),
         ..cd_corpus()
     };
-    let err = detector(&edited_corpus, Some(SnapshotBackend::load(&path)), None)
+    let err = detector(&edited_corpus, Some(PagedBackend::open(&path, ROOMY)), None)
         .run(
             &edited_corpus.doc,
             &edited_corpus.schema,
@@ -309,22 +214,10 @@ fn snapshot_against_edited_content_same_shape_is_rejected() {
     );
 }
 
-// ---- paged (v2) snapshots ---------------------------------------------
+// ---- corruption properties -------------------------------------------
 
-/// Like [`detector`] but over any backend — the paged tests plug in
-/// [`PagedBackend`] where the flat tests use [`SnapshotBackend`].
-fn detector_with(c: &Corpus, backend: impl TermIndexBackend + 'static) -> Dogmatix {
-    Dogmatix::builder()
-        .mapping(c.mapping.clone())
-        .heuristic(c.heuristic.clone())
-        .theta_tuple(setup::THETA_TUPLE)
-        .theta_cand(setup::THETA_CAND)
-        .index_backend(backend)
-        .build()
-}
-
-/// A reference **paged** snapshot built once for the v2 corruption
-/// properties, with small pages so the image spans many pages.
+/// A reference snapshot built once for the corruption properties, with
+/// small pages so the image spans many pages.
 fn reference_paged_snapshot() -> (Corpus, Vec<u8>) {
     let corpus = cd_corpus();
     let path = temp_path(&format!(
@@ -334,9 +227,10 @@ fn reference_paged_snapshot() -> (Corpus, Vec<u8>) {
             .unwrap_or("t")
             .replace("::", "-")
     ));
-    detector_with(
+    detector(
         &corpus,
-        PagedBackend::save(&path, 1 << 20).with_page_size(512),
+        Some(PagedBackend::save(&path).with_page_size(512)),
+        None,
     )
     .run(&corpus.doc, &corpus.schema, corpus.rw_type)
     .expect("paged save run");
@@ -345,9 +239,9 @@ fn reference_paged_snapshot() -> (Corpus, Vec<u8>) {
     (corpus, bytes)
 }
 
-/// A mutated v2 image must be rejected (or be a no-op mutation) by
-/// BOTH readers: the budgeted [`PagedBackend`] and the
-/// version-dispatching [`SnapshotBackend`].
+/// A mutated image must be rejected (or be a no-op mutation) under a
+/// roomy pool and under a two-frame pool that evicts on every section
+/// — loading through either must never panic or return garbage.
 fn assert_paged_mutation_handled(
     corpus: &Corpus,
     original: &DetectionResult,
@@ -362,24 +256,12 @@ fn assert_paged_mutation_handled(
             .replace("::", "-")
     ));
     std::fs::write(&path, mutated).expect("write mutated paged snapshot");
-    for (reader, outcome) in [
-        (
-            "PagedBackend",
-            detector_with(corpus, PagedBackend::open(&path, 1 << 20)).run(
-                &corpus.doc,
-                &corpus.schema,
-                corpus.rw_type,
-            ),
-        ),
-        (
-            "SnapshotBackend",
-            detector(corpus, Some(SnapshotBackend::load(&path)), None).run(
-                &corpus.doc,
-                &corpus.schema,
-                corpus.rw_type,
-            ),
-        ),
-    ] {
+    for (reader, budget) in [("roomy pool", ROOMY), ("two-frame pool", 1024)] {
+        let outcome = detector(corpus, Some(PagedBackend::open(&path, budget)), None).run(
+            &corpus.doc,
+            &corpus.schema,
+            corpus.rw_type,
+        );
         match outcome {
             Err(DogmatixError::Snapshot { .. }) => {}
             Err(other) => panic!("{what} via {reader}: unexpected error kind {other}"),
@@ -441,7 +323,7 @@ fn every_data_page_is_checksum_protected() {
         let mut mutated = bytes.clone();
         mutated[header_len + page * page_size] ^= 0x01;
         std::fs::write(&path, &mutated).expect("write");
-        let err = detector_with(&corpus, PagedBackend::open(&path, 1 << 20))
+        let err = detector(&corpus, Some(PagedBackend::open(&path, ROOMY)), None)
             .run(&corpus.doc, &corpus.schema, corpus.rw_type)
             .unwrap_err();
         let msg = err.to_string();
@@ -454,108 +336,36 @@ fn every_data_page_is_checksum_protected() {
 }
 
 #[test]
-fn cross_version_loads_fail_naming_both_versions() {
-    let (corpus, v1_bytes) = reference_snapshot();
-    let (_, v2_bytes) = reference_paged_snapshot();
-    let path = temp_path("cross-version");
-
-    // A flat v1 file through the paged-only readers.
-    std::fs::write(&path, &v1_bytes).expect("write v1");
-    let err = detector_with(&corpus, PagedBackend::open(&path, 1 << 20))
-        .run(&corpus.doc, &corpus.schema, corpus.rw_type)
-        .unwrap_err();
-    let msg = err.to_string();
-    assert!(msg.contains("flat format (version 1)"), "{msg}");
-    assert!(msg.contains("version 2"), "{msg}");
-    assert!(
-        msg.contains("SnapshotBackend"),
-        "points at the right reader: {msg}"
-    );
-    let err = PagedReader::open(&path, 1 << 20).unwrap_err();
-    let msg = err.to_string();
-    assert!(msg.contains("flat format (version 1)"), "{msg}");
-    assert!(msg.contains("version 2"), "{msg}");
-
-    // A paged v2 file through the version-dispatching flat backend
-    // LOADS (compat), bit-identical to the in-memory run.
-    std::fs::write(&path, &v2_bytes).expect("write v2");
-    let original = run(&corpus, None, None);
-    let compat = detector(&corpus, Some(SnapshotBackend::load(&path)), None)
-        .run(&corpus.doc, &corpus.schema, corpus.rw_type)
-        .expect("SnapshotBackend reads v2");
-    assert_eq!(original, compat, "v2-via-SnapshotBackend diverged");
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
 fn failed_saves_leave_the_previous_snapshot_intact() {
-    // Satellite regression: a save that dies mid-write (simulated by a
-    // directory squatting on the temp-file name) must not clobber the
-    // previously installed snapshot — for the flat AND paged writers.
+    // A save that dies mid-write (simulated by a directory squatting on
+    // the temp-file name) must not clobber the previously installed
+    // snapshot.
     let corpus = cd_corpus();
     let original = run(&corpus, None, None);
-    for paged in [false, true] {
-        let tag = if paged { "atomic-paged" } else { "atomic-flat" };
-        let path = temp_path(tag);
-        let save_ok = if paged {
-            detector_with(&corpus, PagedBackend::save(&path, 1 << 20)).run(
-                &corpus.doc,
-                &corpus.schema,
-                corpus.rw_type,
-            )
-        } else {
-            detector(&corpus, Some(SnapshotBackend::save(&path)), None).run(
-                &corpus.doc,
-                &corpus.schema,
-                corpus.rw_type,
-            )
-        };
-        save_ok.expect("initial save");
-        let good = std::fs::read(&path).expect("snapshot installed");
+    let path = temp_path("atomic");
+    run(&corpus, Some(PagedBackend::save(&path)), None);
+    let good = std::fs::read(&path).expect("snapshot installed");
 
-        let mut tmp = path.as_os_str().to_os_string();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        std::fs::create_dir_all(&tmp).expect("squat temp name");
-        let err = if paged {
-            detector_with(&corpus, PagedBackend::save(&path, 1 << 20))
-                .run(&corpus.doc, &corpus.schema, corpus.rw_type)
-                .unwrap_err()
-        } else {
-            detector(&corpus, Some(SnapshotBackend::save(&path)), None)
-                .run(&corpus.doc, &corpus.schema, corpus.rw_type)
-                .unwrap_err()
-        };
-        assert!(
-            matches!(err, DogmatixError::Snapshot { .. }),
-            "{tag}: {err}"
-        );
-        assert_eq!(
-            std::fs::read(&path).expect("previous snapshot survives"),
-            good,
-            "{tag}: failed save must not touch the installed file"
-        );
-        std::fs::remove_dir_all(&tmp).expect("clear squat");
+    let mut tmp = path.as_os_str().to_os_string();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    std::fs::create_dir_all(&tmp).expect("squat temp name");
+    let err = detector(&corpus, Some(PagedBackend::save(&path)), None)
+        .run(&corpus.doc, &corpus.schema, corpus.rw_type)
+        .unwrap_err();
+    assert!(matches!(err, DogmatixError::Snapshot { .. }), "{err}");
+    assert_eq!(
+        std::fs::read(&path).expect("previous snapshot survives"),
+        good,
+        "failed save must not touch the installed file"
+    );
+    std::fs::remove_dir_all(&tmp).expect("clear squat");
 
-        // And the surviving file still warm-starts bit-identically.
-        let warm = if paged {
-            detector_with(&corpus, PagedBackend::open(&path, 1 << 20)).run(
-                &corpus.doc,
-                &corpus.schema,
-                corpus.rw_type,
-            )
-        } else {
-            detector(&corpus, Some(SnapshotBackend::load(&path)), None).run(
-                &corpus.doc,
-                &corpus.schema,
-                corpus.rw_type,
-            )
-        }
-        .expect("surviving snapshot loads");
-        assert_eq!(original, warm, "{tag}: surviving snapshot diverged");
-        assert!(!tmp.exists(), "{tag}: temp artefact left behind");
-        let _ = std::fs::remove_file(&path);
-    }
+    // And the surviving file still warm-starts bit-identically.
+    let warm = run(&corpus, Some(PagedBackend::open(&path, ROOMY)), None);
+    assert_eq!(original, warm, "surviving snapshot diverged");
+    assert!(!tmp.exists(), "temp artefact left behind");
+    let _ = std::fs::remove_file(&path);
 }
 
 // ---- buffer-pool properties -------------------------------------------
