@@ -10,6 +10,9 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> core unit tests in release (debug-only assertions must not decide a verdict)"
+cargo test --release -q -p dogmatix_core --lib
+
 echo "==> dxbench tests (the benchmark's own package: its replay of the probe"
 echo "    and stage APIs must keep building and passing)"
 cargo test -q --manifest-path dxbench/Cargo.toml
@@ -37,6 +40,9 @@ PROPTEST_CASES=128 cargo test -q --test wal
 
 echo "==> probe overlay vs append-last interning differential at CI depth (PROPTEST_CASES=512)"
 PROPTEST_CASES=512 cargo test -q --test probe_overlay
+
+echo "==> zero-score skip soundness suite at CI depth (PROPTEST_CASES=256)"
+PROPTEST_CASES=256 cargo test -q --test similar_graph
 
 echo "==> edit-distance kernel differential suite at CI depth (PROPTEST_CASES=256)"
 PROPTEST_CASES=256 cargo test -q -p dogmatix_textsim --test kernel_differential

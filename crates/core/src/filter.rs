@@ -19,10 +19,13 @@
 //!
 //! The filter is computed on the interned term table in two passes:
 //!
-//! 1. **term-family discovery** — for every distinct term, find the
-//!    ned-similar terms of the same real-world type (length-bucketed scan
+//! 1. **term-family discovery** — the set's similar-term graph
+//!    ([`crate::simgraph`]): for every distinct term, the ned-similar
+//!    terms of the same real-world type, found by a length-sorted window
 //!    with the \[18\] bounds, so most candidates die on the length or bag
-//!    bound without an edit-distance computation);
+//!    bound before the bounded edit-distance kernel runs. A term's family
+//!    is its postings united with its neighbours' postings, counted with
+//!    one object stamp array;
 //! 2. **per-object aggregation** — a tuple is *shared* if its term family
 //!    spans at least two objects, *unique* otherwise; shared weight is
 //!    `ln(|Ω| / |family postings|)` (the softIDF of the tuple with its
@@ -31,13 +34,14 @@
 //! The cost is one pass over distinct terms plus one over tuples —
 //! matching the paper's claim that computing `f` for all objects costs
 //! about as much as one `sim` evaluation per object, while `sim` runs per
-//! *pair*.
+//! *pair*. The graph stays cached on the [`OdSet`], so Step 5's softIDF
+//! engine reuses it to skip the pairs that provably score 0.
 
 use crate::neighborhood::ComparisonPlan;
 use crate::od::OdSet;
 use crate::stage::{ComparisonFilter, FilterDecision};
 use dogmatix_textsim::{
-    band_keys, band_keys_into, idf, minhash_signature, minhash_signature_into, mix64, ned_within,
+    band_keys, band_keys_into, idf, minhash_signature, minhash_signature_into, mix64,
     positional_qgram_hashes_into, word_token_hashes_into,
 };
 use std::collections::{BTreeSet, HashMap};
@@ -50,8 +54,8 @@ pub struct FilterOutcome {
     pub f_values: Vec<f64>,
     /// Whether candidate `i` is pruned (`f ≤ θ_cand`).
     pub pruned: Vec<bool>,
-    /// Number of edit-distance computations the term scan performed
-    /// (diagnostics for the ablation benches).
+    /// Number of term pairs the similar-term join tested past the length
+    /// bound (diagnostics for the ablation benches).
     pub distance_computations: usize,
 }
 
@@ -66,10 +70,13 @@ impl FilterOutcome {
 ///
 /// `theta_tuple` is the tuple-similarity threshold (shared with the
 /// similarity measure); `theta_cand` the duplicate threshold the filter
-/// prunes against.
+/// prunes against. The term families come from the set's similar-term
+/// graph ([`OdSet::similar_terms`]), which this call builds and caches
+/// on first use so that Step 5 can read it too.
 pub fn object_filter(ods: &OdSet, theta_tuple: f64, theta_cand: f64) -> FilterOutcome {
     let total = ods.len();
-    let (family_union, distance_computations) = term_families(ods, theta_tuple);
+    let graph = ods.similar_terms(theta_tuple);
+    let family_union = graph.family_sizes(ods);
 
     let mut f_values = Vec::with_capacity(total);
     let mut pruned = Vec::with_capacity(total);
@@ -92,61 +99,20 @@ pub fn object_filter(ods: &OdSet, theta_tuple: f64, theta_cand: f64) -> FilterOu
     FilterOutcome {
         f_values,
         pruned,
-        distance_computations,
+        distance_computations: graph.pairs_examined(),
     }
-}
-
-/// For every term, the number of distinct objects containing the term or
-/// any ned-similar term of the same type (`|O_odti ∪ O_odtj ∪ …|`).
-///
-/// Returns the per-term family sizes and the count of edit-distance
-/// computations performed.
-fn term_families(ods: &OdSet, theta_tuple: f64) -> (Vec<usize>, usize) {
-    use std::collections::{BTreeMap, BTreeSet};
-
-    let store = ods.store();
-    // Group term indices by interned real-world type id.
-    let mut by_type: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-    for i in 0..store.term_count() {
-        by_type.entry(store.type_id(i)).or_default().push(i);
-    }
-
-    let mut families: Vec<BTreeSet<u32>> = (0..store.term_count())
-        .map(|i| store.postings(i).iter().copied().collect())
-        .collect();
-    let mut computations = 0usize;
-
-    for group in by_type.values() {
-        // Sort by length so only a bounded window of terms can be within
-        // the ned threshold (length difference bound).
-        let mut sorted: Vec<usize> = group.clone();
-        sorted.sort_by_key(|i| store.char_len(*i));
-        for (pos, &a) in sorted.iter().enumerate() {
-            let la = store.char_len(a);
-            for &b in sorted[pos + 1..].iter() {
-                let lb = store.char_len(b);
-                debug_assert!(lb >= la);
-                // ned < θ needs (lb - la) < θ · lb, i.e. lb < la / (1 - θ).
-                if (lb - la) as f64 >= theta_tuple * lb.max(1) as f64 {
-                    break;
-                }
-                computations += 1;
-                if ned_within(store.norm(a), store.norm(b), theta_tuple).is_some() {
-                    families[a].extend(store.postings(b).iter().copied());
-                    families[b].extend(store.postings(a).iter().copied());
-                }
-            }
-        }
-    }
-    (
-        families.into_iter().map(|f| f.len()).collect(),
-        computations,
-    )
 }
 
 /// The §5.2 object filter as a
 /// [`crate::stage::ComparisonFilter`] stage — the
 /// paper's default comparison reduction.
+///
+/// Besides pruning objects, the filter leaves the set's similar-term
+/// graph ([`OdSet::similar_terms`]) cached at `theta_tuple`. A
+/// [`SoftIdfMeasure`](crate::sim::SoftIdfMeasure) with the same
+/// `θ_tuple` then reads the graph's support lists and skips, with the
+/// exact answer 0.0, every pair that shares no similar tuple. So one run
+/// joins the terms once, for both steps.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObjectFilter {
     /// Tuple-similarity threshold shared with the similarity measure.

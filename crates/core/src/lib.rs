@@ -15,6 +15,7 @@
 //! | §4 description-selection heuristics + conditions | [`heuristics`] |
 //! | §5 similarity measure (`odtDist`, `softIDF`, `sim`) | [`sim`] |
 //! | §5.2 object filter `f` | [`filter`] |
+//! | §5 / §5.2 similar-term graph shared by the filter and `sim` | [`simgraph`] |
 //! | step 6 duplicate clustering | [`cluster`] |
 //! | Fig. 3 dup-cluster output | [`output`] |
 //! | §7 related-work measures for ablations | [`baseline`] |
@@ -102,6 +103,7 @@ pub mod probe;
 pub mod query;
 pub mod shard;
 pub mod sim;
+pub mod simgraph;
 pub mod stage;
 pub mod store;
 pub mod wal;

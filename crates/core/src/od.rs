@@ -27,9 +27,11 @@
 //! pointer chase.
 
 use crate::mapping::Mapping;
+use crate::simgraph::SimilarTerms;
 use crate::store::{PathId, Span, StoreBuilder, TermStore};
 use dogmatix_xml::{Document, NodeId};
 use std::collections::{BTreeSet, HashMap};
+use std::sync::{Arc, OnceLock};
 
 /// Interned id of a distinct `(rw_type, normalised value)` pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -60,6 +62,13 @@ impl TermId {
 /// offsets; every string is a [`Span`] into the store's byte arena.
 /// Cloning an `OdSet` is a handful of `memcpy`s, and equality is a flat
 /// column comparison — both were deep per-tuple walks before.
+///
+/// A set may also carry its similar-term graph ([`SimilarTerms`]) for
+/// one `θ_tuple`. The object filter builds it on first request
+/// ([`OdSet::similar_terms`]), and the softIDF measure reads it to skip
+/// zero-score pairs ([`OdSet::cached_similar_terms`]). It is derived from
+/// the columns, so equality, snapshots, [`OdSet::heap_bytes`] and the
+/// store audit ignore it, and a clone shares it.
 ///
 /// ```
 /// use dogmatix_core::od::OdSet;
@@ -106,6 +115,29 @@ pub struct OdSet {
     group_starts: Vec<u32>,
     /// Flattened OD-local tuple indices per group.
     group_tuples: Vec<u32>,
+    /// The similar-term graph, built on first request (derived data).
+    similar: SimilarCache,
+}
+
+/// The lazily built [`SimilarTerms`] of one set, for the one `θ_tuple`
+/// it was first requested at. Derived from the columns, so it takes no
+/// part in equality, snapshots, [`OdSet::heap_bytes`] or the audit.
+#[derive(Clone, Default)]
+struct SimilarCache(OnceLock<Arc<SimilarTerms>>);
+
+impl PartialEq for SimilarCache {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl std::fmt::Debug for SimilarCache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.0.get() {
+            Some(graph) => write!(f, "SimilarCache({} edges)", graph.edge_count()),
+            None => f.write_str("SimilarCache(empty)"),
+        }
+    }
 }
 
 impl OdSet {
@@ -443,6 +475,7 @@ impl OdSet {
             group_types,
             group_starts,
             group_tuples,
+            similar: SimilarCache::default(),
         }
     }
 
@@ -450,6 +483,38 @@ impl OdSet {
     /// freshly resolved candidates to the loaded columns).
     pub(crate) fn set_nodes(&mut self, nodes: Vec<NodeId>) {
         self.nodes = nodes;
+        self.similar = SimilarCache::default();
+    }
+
+    // ---- the similar-term graph (derived, cached) ----------------------
+
+    /// The similar-term graph and support lists at `theta_tuple`
+    /// ([`crate::simgraph`]). The first request builds the graph and
+    /// caches it on the set; later requests at the same threshold share
+    /// it, and a request at another threshold builds an uncached one.
+    /// The object filter is the one caller in the pipeline, so each run
+    /// joins the terms once and Step 5 reads the result through
+    /// [`OdSet::cached_similar_terms`].
+    pub fn similar_terms(&self, theta_tuple: f64) -> Arc<SimilarTerms> {
+        let cached = self
+            .similar
+            .0
+            .get_or_init(|| Arc::new(SimilarTerms::build(self, theta_tuple)));
+        if cached.is_for(theta_tuple) {
+            Arc::clone(cached)
+        } else {
+            Arc::new(SimilarTerms::build(self, theta_tuple))
+        }
+    }
+
+    /// The cached similar-term graph, if one was built at exactly
+    /// `theta_tuple`. Never builds one.
+    pub fn cached_similar_terms(&self, theta_tuple: f64) -> Option<&SimilarTerms> {
+        self.similar
+            .0
+            .get()
+            .filter(|graph| graph.is_for(theta_tuple))
+            .map(|graph| &**graph)
     }
 }
 
@@ -730,6 +795,7 @@ impl Interner {
             group_types: self.group_types,
             group_starts,
             group_tuples: self.group_tuples,
+            similar: SimilarCache::default(),
         }
     }
 }
@@ -1161,7 +1227,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "terms")]
+    #[cfg_attr(debug_assertions, should_panic(expected = "terms"))]
+    #[cfg_attr(not(debug_assertions), should_panic)]
     fn unchecked_term_accessor_panics_on_stale_id() {
         let doc = movie_doc();
         let candidates = doc.select("/moviedoc/movie").unwrap();

@@ -32,12 +32,26 @@
 //! `TermStore` SoA columns. Kernels are exact, so the kernel choice
 //! never changes any score.
 //!
+//! Most planned pairs share no similar tuple at all, and for them
+//! Equation 8 gives exactly 0. When Step 4's [`ObjectFilter`] has left
+//! the set's similar-term graph ([`crate::simgraph`]) for the measure's
+//! `θ_tuple` on the [`OdSet`], [`SoftIdfMeasure`]'s prepared engine looks
+//! each pair up in the graph's per-object support lists first. A pair
+//! outside them shares neither an identical term nor a graph edge, so
+//! the engine returns 0.0 without entering the loop. This is the same
+//! value the loop would compute. Engines built directly
+//! ([`SimEngine::new`], [`SimEngine::over`]) and every other measure
+//! score each pair in full, and no measure builds the graph itself.
+//!
+//! [`ObjectFilter`]: crate::filter::ObjectFilter
+//!
 //! The engine reads its objects through the narrow [`OdView`] trait:
 //! [`OdSet`] is the batch implementation, and
 //! [`ProbeOverlay`](crate::probe::ProbeOverlay) scores a probe record
 //! against a pinned snapshot without re-interning it.
 
 use crate::od::{OdSet, TermId};
+use crate::simgraph::SimilarTerms;
 use dogmatix_textsim::kernel::{EditDistanceKernel, KernelScratch};
 use dogmatix_textsim::{bag_distance_lower_bound_with, idf, length_lower_bound, strict_cap};
 use std::collections::HashMap;
@@ -480,6 +494,9 @@ pub struct SimEngine<'a, V: OdView = OdSet> {
     ods: &'a V,
     theta_tuple: f64,
     kernel: &'static dyn EditDistanceKernel,
+    /// Support lists at `theta_tuple`: pairs outside them score 0
+    /// without entering the loop. `None` scores every pair in full.
+    support: Option<&'a SimilarTerms>,
 }
 
 impl<'a> SimEngine<'a> {
@@ -507,6 +524,7 @@ impl<'a, V: OdView> SimEngine<'a, V> {
             ods,
             theta_tuple,
             kernel: choice.kernel(),
+            support: None,
         }
     }
 
@@ -521,6 +539,13 @@ impl<'a, V: OdView> SimEngine<'a, V> {
     /// buffers live in the [`DistCache`]); agrees exactly with
     /// [`SimEngine::breakdown`]'s `sim` field.
     pub fn sim(&self, i: usize, j: usize, cache: &mut DistCache) -> f64 {
+        if let Some(support) = self.support {
+            if !support.supports(i, j) {
+                // No identical term and no graph edge: `ODT_≈` is empty,
+                // so Equation 8's numerator is 0.
+                return 0.0;
+            }
+        }
         let ods = self.ods;
         let total = ods.object_count();
         let tuples_i = ods.tuple_count(i);
@@ -814,6 +839,12 @@ impl<'a, V: OdView> SimEngine<'a, V> {
 /// whatever columnar store the configured
 /// [`TermIndexBackend`](crate::backend::TermIndexBackend) supplied.
 ///
+/// If the set already holds the similar-term graph at this measure's
+/// `θ_tuple` ([`OdSet::cached_similar_terms`], left there by the object
+/// filter), the prepared engine answers 0.0 for the pairs outside its
+/// support lists without scoring them. Otherwise it scores every pair.
+/// The results are the same either way.
+///
 /// ```
 /// use dogmatix_core::pipeline::Dogmatix;
 /// use dogmatix_core::sim::SoftIdfMeasure;
@@ -870,11 +901,11 @@ impl crate::stage::SimilarityMeasure for SoftIdfMeasure {
         &self,
         ctx: crate::stage::SimContext<'a>,
     ) -> Box<dyn crate::stage::PreparedMeasure + 'a> {
-        Box::new(SimEngine::with_kernel(
-            ctx.ods,
-            self.theta_tuple,
-            self.kernel,
-        ))
+        let mut engine = SimEngine::with_kernel(ctx.ods, self.theta_tuple, self.kernel);
+        // Skip the provably-zero pairs when Step 4 left the graph for
+        // this threshold on the set; never build it here.
+        engine.support = ctx.ods.cached_similar_terms(self.theta_tuple);
+        Box::new(engine)
     }
 
     /// The same engine over the probe overlay: softIDF reads only the

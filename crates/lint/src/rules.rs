@@ -272,14 +272,15 @@ fn no_column_index(file: &SourceFile, allows: &Allows, out: &mut Vec<Finding>) {
     }
 }
 
-/// no-hot-alloc: the pairwise hot paths (sim.rs, filter.rs, shard.rs),
-/// the probe lookup path (probe.rs), and the textsim comparison kernels
+/// no-hot-alloc: the pairwise hot paths (sim.rs, simgraph.rs, filter.rs,
+/// shard.rs), the probe lookup path (probe.rs), and the textsim comparison kernels
 /// (levenshtein, bounds, ned, myers, kernel) must not allocate Strings
 /// per comparison — `format!`, `String::new` and friends,
 /// `.to_string()`, `.to_owned()` are banned there.
 fn no_hot_alloc(file: &SourceFile, allows: &Allows, out: &mut Vec<Finding>) {
     let hot = [
         "crates/core/src/sim.rs",
+        "crates/core/src/simgraph.rs",
         "crates/core/src/filter.rs",
         "crates/core/src/shard.rs",
         "crates/core/src/probe.rs",

@@ -91,32 +91,47 @@ pub fn ned_within(a: &str, b: &str, threshold: f64) -> Option<f64> {
 ///
 /// This is the band the paper's strict `odtDist < θ_tuple` comparison
 /// admits; kernel callers use it to bound the DP before any character is
-/// looked at.
+/// looked at. The predicate is the float comparison
+/// `(d as f64 / max_len as f64) < threshold` itself — the one the scoring
+/// loop applies to exact distances — so `d <= strict_cap(θ, m)` holds
+/// exactly when that comparison does. Flooring the product `θ · m`
+/// instead would disagree wherever the product rounds across an integer
+/// (`0.55 · 100` is `55.000000000000007`, yet `55 / 100 < 0.55` is false).
+/// Two empty strings (`max_len == 0`) are identical, so their cap is 0.
 ///
 /// # Examples
 /// ```
 /// use dogmatix_textsim::strict_cap;
 /// assert_eq!(strict_cap(0.15, 10), Some(1)); // d <= 1: 1/10 < 0.15 < 2/10
 /// assert_eq!(strict_cap(0.5, 2), Some(0));   // d < 1 means d = 0
+/// assert_eq!(strict_cap(0.55, 100), Some(54)); // 55/100 < 0.55 is false
+/// assert_eq!(strict_cap(0.15, 0), Some(0));  // empty strings are identical
 /// assert_eq!(strict_cap(0.0, 7), None);      // nothing is < 0
 /// ```
 pub fn strict_cap(threshold: f64, max_len: usize) -> Option<usize> {
-    if threshold <= 0.0 {
+    if threshold.is_nan() || threshold <= 0.0 {
         return None;
     }
-    let bound = threshold * max_len as f64;
-    let cap = if bound.fract() == 0.0 {
-        // d < bound with integer bound means d <= bound - 1.
-        bound as usize - 1
-    } else {
-        bound.floor() as usize
-    };
-    Some(cap.min(max_len))
+    if max_len == 0 {
+        return Some(0);
+    }
+    let m = max_len as f64;
+    let below = |d: usize| (d as f64 / m) < threshold;
+    // The floored product is within one of the answer; step to it.
+    let mut cap = ((threshold * m).floor() as usize).min(max_len);
+    while cap > 0 && !below(cap) {
+        cap -= 1;
+    }
+    while cap < max_len && below(cap + 1) {
+        cap += 1;
+    }
+    Some(cap)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::levenshtein::levenshtein;
 
     #[test]
     fn ned_is_in_unit_interval() {
@@ -167,6 +182,41 @@ mod tests {
         // "ab" vs "ax": d=1, max_len=2, ned=0.5.
         assert_eq!(ned_within("ab", "ax", 0.5), None);
         assert!(ned_within("ab", "ax", 0.51).is_some());
+    }
+
+    #[test]
+    fn strict_cap_agrees_with_the_float_quotient_at_product_rounding() {
+        // 0.55 · 100 rounds to 55.000000000000007, but 55/100 < 0.55 is
+        // false: the cap is 54, not 55.
+        assert_eq!(strict_cap(0.55, 100), Some(54));
+        let a = "a".repeat(100);
+        let mut b = "b".repeat(55);
+        b.push_str(&"a".repeat(45));
+        assert_eq!(levenshtein(&a, &b), 55);
+        assert_eq!(ned(&a, &b), 0.55);
+        assert_eq!(ned_within(&a, &b, 0.55), None, "55/100 < 0.55 is false");
+        let mut c = "b".repeat(54);
+        c.push_str(&"a".repeat(46));
+        assert_eq!(ned_within(&a, &c, 0.55), Some(0.54));
+    }
+
+    #[test]
+    fn strict_cap_is_exact_on_a_threshold_grid() {
+        for step in 1..20 {
+            let theta = step as f64 * 0.05;
+            for m in 1..=2000usize {
+                let cap = strict_cap(theta, m).unwrap();
+                assert!((cap as f64 / m as f64) < theta, "θ={theta} m={m} cap={cap}");
+                if cap < m {
+                    assert!(
+                        ((cap + 1) as f64 / m as f64) >= theta,
+                        "θ={theta} m={m} cap={cap} is not the largest"
+                    );
+                }
+            }
+        }
+        assert_eq!(strict_cap(f64::NAN, 10), None);
+        assert_eq!(strict_cap(1.5, 10), Some(10));
     }
 
     #[test]

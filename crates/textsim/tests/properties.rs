@@ -6,7 +6,7 @@
 
 use dogmatix_textsim::{
     bag_distance_lower_bound, jaro, jaro_winkler, length_lower_bound, levenshtein,
-    levenshtein_bounded, ned, ned_within,
+    levenshtein_bounded, ned, ned_within, strict_cap,
 };
 use proptest::prelude::*;
 
@@ -127,5 +127,27 @@ proptest! {
             .map(|t| dogmatix_textsim::token_hash(t))
             .collect();
         prop_assert_eq!(tokens, direct);
+    }
+
+    /// `strict_cap` is the strict `odtDist < θ` predicate itself: an
+    /// edit count `e` over `m` chars is within the cap exactly when the
+    /// float quotient `e / m` is below θ — the comparison the scoring
+    /// loop applies to exact distances, so the bounded 1×1 path, the
+    /// filter's `ned_within` and the multi-tuple path agree.
+    #[test]
+    fn strict_cap_is_the_strict_quotient_predicate(
+        theta in 0.0f64..1.0,
+        m in 1usize..4097,
+        e in 0usize..4097,
+    ) {
+        let e = e % (m + 1);
+        let below = (e as f64 / m as f64) < theta;
+        match strict_cap(theta, m) {
+            Some(cap) => {
+                prop_assert_eq!(e <= cap, below, "θ={} m={} e={} cap={}", theta, m, e, cap);
+                prop_assert!(cap <= m);
+            }
+            None => prop_assert!(theta <= 0.0 && !below, "θ={} m={}", theta, m),
+        }
     }
 }

@@ -1,6 +1,7 @@
 //! Helpers shared by the integration suites (`properties.rs`,
-//! `incremental.rs`, `sharding.rs`): the `PROPTEST_CASES` override and
-//! the miniature record corpus the differential properties run on.
+//! `incremental.rs`, `sharding.rs`, `similar_graph.rs`): the
+//! `PROPTEST_CASES` override, the miniature record corpus the
+//! differential properties run on, and its dirty-duplicate variant.
 //!
 //! Each test binary compiles its own copy, so not every binary uses
 //! every item.
@@ -54,4 +55,74 @@ pub fn build_doc(records: &[MiniRecord]) -> Document {
         }
     }
     doc
+}
+
+/// One typographical edit applied to a string at proptest-chosen
+/// coordinates (the dirty-duplicate generator's error classes, made
+/// deterministic for shrinking).
+#[derive(Debug, Clone)]
+pub enum Typo {
+    Delete { pos: usize },
+    Substitute { pos: usize, with: char },
+    Insert { pos: usize, what: char },
+}
+
+impl Typo {
+    pub fn apply(&self, s: &str) -> String {
+        let mut chars: Vec<char> = s.chars().collect();
+        if chars.is_empty() {
+            return s.to_string();
+        }
+        match *self {
+            Typo::Delete { pos } => {
+                chars.remove(pos % chars.len());
+            }
+            Typo::Substitute { pos, with } => {
+                let p = pos % chars.len();
+                chars[p] = with;
+            }
+            Typo::Insert { pos, what } => {
+                let p = pos % (chars.len() + 1);
+                chars.insert(p, what);
+            }
+        }
+        chars.into_iter().collect()
+    }
+}
+
+pub fn typo_strategy() -> impl Strategy<Value = Typo> {
+    let letter = |offset: u8| (b'a' + offset % 26) as char;
+    prop_oneof![
+        (0usize..32).prop_map(|pos| Typo::Delete { pos }),
+        (0usize..32, 0u8..26).prop_map(move |(pos, c)| Typo::Substitute {
+            pos,
+            with: letter(c)
+        }),
+        (0usize..32, 0u8..26).prop_map(move |(pos, c)| Typo::Insert {
+            pos,
+            what: letter(c)
+        }),
+    ]
+}
+
+/// A dirty corpus: originals plus duplicates derived by 1–2 typos on the
+/// title — the shape the q-gram count filter must never lose.
+pub fn dirty_corpus_strategy() -> impl Strategy<Value = Vec<MiniRecord>> {
+    (
+        proptest::collection::vec(record_strategy(), 2..8),
+        proptest::collection::vec(
+            (0usize..16, proptest::collection::vec(typo_strategy(), 1..3)),
+            1..4,
+        ),
+    )
+        .prop_map(|(mut records, dirt)| {
+            for (slot, typos) in dirt {
+                let mut dup = records[slot % records.len()].clone();
+                for t in &typos {
+                    dup.title = t.apply(&dup.title);
+                }
+                records.push(dup);
+            }
+            records
+        })
 }

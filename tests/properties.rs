@@ -3,7 +3,7 @@
 
 mod common;
 
-use common::{build_doc, record_strategy, MiniRecord};
+use common::{build_doc, dirty_corpus_strategy, record_strategy, MiniRecord};
 use dogmatix_repro::core::filter::QGramBlocking;
 use dogmatix_repro::core::heuristics::HeuristicExpr;
 use dogmatix_repro::core::pipeline::{Dogmatix, DogmatixConfig};
@@ -35,76 +35,6 @@ fn detect(
         .run(&doc, &schema, "ITEM")
         .expect("pipeline runs on any well-formed corpus");
     (doc, result)
-}
-
-/// One typographical edit applied to a string at proptest-chosen
-/// coordinates (the dirty-duplicate generator's error classes, made
-/// deterministic for shrinking).
-#[derive(Debug, Clone)]
-enum Typo {
-    Delete { pos: usize },
-    Substitute { pos: usize, with: char },
-    Insert { pos: usize, what: char },
-}
-
-impl Typo {
-    fn apply(&self, s: &str) -> String {
-        let mut chars: Vec<char> = s.chars().collect();
-        if chars.is_empty() {
-            return s.to_string();
-        }
-        match *self {
-            Typo::Delete { pos } => {
-                chars.remove(pos % chars.len());
-            }
-            Typo::Substitute { pos, with } => {
-                let p = pos % chars.len();
-                chars[p] = with;
-            }
-            Typo::Insert { pos, what } => {
-                let p = pos % (chars.len() + 1);
-                chars.insert(p, what);
-            }
-        }
-        chars.into_iter().collect()
-    }
-}
-
-fn typo_strategy() -> impl Strategy<Value = Typo> {
-    let letter = |offset: u8| (b'a' + offset % 26) as char;
-    prop_oneof![
-        (0usize..32).prop_map(|pos| Typo::Delete { pos }),
-        (0usize..32, 0u8..26).prop_map(move |(pos, c)| Typo::Substitute {
-            pos,
-            with: letter(c)
-        }),
-        (0usize..32, 0u8..26).prop_map(move |(pos, c)| Typo::Insert {
-            pos,
-            what: letter(c)
-        }),
-    ]
-}
-
-/// A dirty corpus: originals plus duplicates derived by 1–2 typos on the
-/// title — the shape the q-gram count filter must never lose.
-fn dirty_corpus_strategy() -> impl Strategy<Value = Vec<MiniRecord>> {
-    (
-        proptest::collection::vec(record_strategy(), 2..8),
-        proptest::collection::vec(
-            (0usize..16, proptest::collection::vec(typo_strategy(), 1..3)),
-            1..4,
-        ),
-    )
-        .prop_map(|(mut records, dirt)| {
-            for (slot, typos) in dirt {
-                let mut dup = records[slot % records.len()].clone();
-                for t in &typos {
-                    dup.title = t.apply(&dup.title);
-                }
-                records.push(dup);
-            }
-            records
-        })
 }
 
 proptest! {

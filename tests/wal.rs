@@ -12,7 +12,9 @@
 //!   (`Err`, not a silent empty recovery);
 //! * **properties** — arbitrary byte flips and cuts over the whole
 //!   log/checkpoint byte range, honouring the `PROPTEST_CASES`
-//!   override (ci.sh raises it to 128).
+//!   override (ci.sh raises it to 128);
+//! * **store checkpoints** — flips, cuts and padding of a checkpoint
+//!   taken after detection, which embeds a DXTS v2 store image.
 //!
 //! The prefix assertions are differential: after recovering a log with
 //! frame `k` torn, the session's verdicts must be bit-identical to an
@@ -127,6 +129,96 @@ fn reference() -> (Vec<u8>, Vec<u8>, Vec<DetectionResult>) {
         })
         .collect();
     (log, ckpt, prefixes)
+}
+
+/// The reference stream behind a checkpoint that embeds a store image:
+/// the session runs its initial detection, the WAL's first checkpoint is
+/// taken on that clean session (so it carries a DXTS v2 image), and the
+/// three deltas follow in the log. Built once per test binary; recovery
+/// replays all three deltas, so the matching control is `prefixes[3]`.
+fn store_reference() -> &'static (Vec<u8>, Vec<u8>, Vec<DetectionResult>) {
+    static REFERENCE: std::sync::OnceLock<(Vec<u8>, Vec<u8>, Vec<DetectionResult>)> =
+        std::sync::OnceLock::new();
+    REFERENCE.get_or_init(|| {
+        let (_, _, prefixes) = reference();
+        let dx = detector();
+        let path = scratch_log("store-reference");
+        let mut s = dx
+            .incremental_session_inferred(build_doc(&seed_records()), "ITEM")
+            .expect("session opens");
+        dx.detect_delta(&mut s, &[]).expect("initial run");
+        let mut wal = Wal::create(&path, &s, FsyncPolicy::Batch).expect("create WAL");
+        wal.checkpoint(&s).expect("checkpoint a clean session");
+        for delta in &seed_deltas() {
+            wal.append(delta).expect("append");
+            dx.detect_delta(&mut s, std::slice::from_ref(delta))
+                .expect("delta applies");
+        }
+        wal.commit().expect("commit");
+        drop(wal);
+        let log = std::fs::read(&path).expect("log written");
+        let ckpt = std::fs::read(ckpt_path(&path)).expect("checkpoint written");
+        remove_log(&path);
+        assert!(
+            ckpt.windows(4).any(|w| w == b"DXTS"),
+            "a checkpoint of a detected session embeds the store image"
+        );
+        (log, ckpt, prefixes)
+    })
+}
+
+/// The "structured error or clean load" rule for a damaged
+/// store-holding checkpoint: a load must reproduce the full control
+/// verdicts; a refusal must be a `DogmatixError::Wal`. `must_refuse`
+/// additionally forbids loading at all.
+fn assert_store_ckpt_outcome(ckpt: &[u8], must_refuse: bool, what: &str) {
+    let (log, _, prefixes) = store_reference();
+    match recover_bytes("store-ckpt", log, ckpt) {
+        Ok(rec) => {
+            assert!(!must_refuse, "{what}: a damaged checkpoint loaded");
+            assert_prefix(rec, prefixes.len() - 1, prefixes, false, what);
+        }
+        Err(DogmatixError::Wal { .. }) => {}
+        Err(other) => panic!("{what}: unstructured failure: {other}"),
+    }
+}
+
+#[test]
+fn store_checkpoint_recovers_and_rejects_directed_damage() {
+    let (log, ckpt, prefixes) = store_reference();
+    let rec = recover_bytes("store-ckpt-clean", log, ckpt).expect("intact checkpoint loads");
+    assert_prefix(
+        rec,
+        prefixes.len() - 1,
+        prefixes,
+        false,
+        "intact store checkpoint",
+    );
+    let image = ckpt
+        .windows(4)
+        .position(|w| w == b"DXTS")
+        .expect("embedded image");
+    for offset in [
+        0,
+        8,
+        image,
+        image + 4,
+        image + 64,
+        ckpt.len() / 2,
+        ckpt.len() - 1,
+    ] {
+        let mut mutated = ckpt.clone();
+        mutated[offset] ^= 0xFF;
+        assert_store_ckpt_outcome(&mutated, true, &format!("flip at {offset}"));
+    }
+    for cut in [0, 23, image, image + 8, ckpt.len() / 2, ckpt.len() - 1] {
+        assert_store_ckpt_outcome(&ckpt[..cut], true, &format!("cut at {cut}"));
+    }
+    for pad in [1usize, 8, 4096] {
+        let mut padded = ckpt.clone();
+        padded.resize(ckpt.len() + pad, 0xA5);
+        assert_store_ckpt_outcome(&padded, false, &format!("{pad} padding bytes"));
+    }
 }
 
 /// Byte offsets of each frame and its payload length, parsed straight
@@ -367,6 +459,30 @@ proptest! {
             Err(DogmatixError::Wal { .. }) => prop_assert!(changed, "no-op flip was fatal"),
             Err(other) => prop_assert!(false, "unstructured failure: {}", other),
         }
+    }
+
+    /// The same flip matrix over a checkpoint that embeds a store image
+    /// (the genesis checkpoint above holds none), plus cuts and padding:
+    /// a changed or cut checkpoint never loads, padding loads cleanly or
+    /// fails structured, and nothing panics.
+    #[test]
+    fn corrupted_store_checkpoints_never_panic(
+        position in 0usize..100_000,
+        byte in 0u8..=255,
+        cut in 0usize..100_000,
+        pad in 1usize..64,
+    ) {
+        let (_, ckpt, _) = store_reference();
+        let mut mutated = ckpt.clone();
+        let pos = position % mutated.len();
+        mutated[pos] = byte;
+        let changed = mutated[pos] != ckpt[pos];
+        assert_store_ckpt_outcome(&mutated, changed, &format!("flip at {pos}"));
+        let cut = cut % ckpt.len();
+        assert_store_ckpt_outcome(&ckpt[..cut], true, &format!("cut at {cut}"));
+        let mut padded = ckpt.clone();
+        padded.resize(ckpt.len() + pad, byte);
+        assert_store_ckpt_outcome(&padded, false, &format!("{pad} padding bytes"));
     }
 }
 
