@@ -483,7 +483,6 @@ impl OdSet {
     /// freshly resolved candidates to the loaded columns).
     pub(crate) fn set_nodes(&mut self, nodes: Vec<NodeId>) {
         self.nodes = nodes;
-        self.similar = SimilarCache::default();
     }
 
     // ---- the similar-term graph (derived, cached) ----------------------

@@ -57,7 +57,7 @@ use dogmatix_textsim::{bag_distance_lower_bound_with, strict_cap};
 /// The similar-term graph of one [`OdSet`] at one `θ_tuple`, plus the
 /// per-object support lists derived from it. See the [module
 /// docs](self).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct SimilarTerms {
     /// `θ_tuple` the graph was built for, as bits (the cache key).
     theta_bits: u64,
