@@ -50,7 +50,8 @@ PROPTEST_CASES=256 cargo test -q -p dogmatix_textsim --test kernel_differential
 echo "==> streaming bench sanity (delta replay must beat full re-detection)"
 cargo bench -q -p dogmatix_bench --bench streaming >/dev/null
 
-echo "==> scaling bench sanity (sharded wall-clock must not exceed unsharded;"
+echo "==> scaling bench sanity (one pair-plan executor, two unit policies: sharded"
+echo "    wall-clock must not exceed chunked;"
 echo "    columnar comparison phase must not regress past the recorded baseline)"
 cargo bench -q -p dogmatix_bench --bench scaling >/dev/null
 

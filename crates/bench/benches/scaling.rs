@@ -8,11 +8,13 @@
 //! payoff is itself tracked.
 //!
 //! Before the criterion groups run, a **sharding sanity pass** executes
-//! on the movie corpus at `threads = 0`: the sharded driver (auto shard
-//! count) must produce a bit-identical result to the unsharded pipeline
-//! and must not be slower beyond scheduler noise — sharding partitions
-//! the same work, so wall-clock parity is the expectation and a real
-//! slowdown is a regression. Best-of-N timings absorb jitter.
+//! on the movie corpus at `threads = 0`: the one pair-plan executor under
+//! the sharded unit policy (auto shard count) must produce a
+//! bit-identical result to the same executor under its default chunked
+//! units and must not be slower beyond scheduler noise — both policies
+//! cut the same work for the same workers, so wall-clock parity is the
+//! expectation and a real slowdown is a regression. Best-of-N timings
+//! absorb jitter.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dogmatix_bench::{CdFixture, MovieFixture};
@@ -41,10 +43,11 @@ fn best_of_interleaved(
 }
 
 /// The sharding sanity pass the CI gate relies on: on the movie corpus
-/// at `threads = 0`, auto-sharded execution is bit-identical to the
-/// unsharded pipeline and its wall-clock does not exceed the unsharded
-/// time beyond a 10% scheduler-noise allowance (the two execute the
-/// same comparison plan).
+/// at `threads = 0`, the pair-plan executor under the sharded unit policy
+/// (auto shard count) is bit-identical to the same executor under its
+/// default chunked units, and its wall-clock does not exceed theirs
+/// beyond a 10% scheduler-noise allowance (the two policies cut the same
+/// comparison plan for the same workers).
 fn sharding_sanity() {
     let fixture = MovieFixture::dataset2(80);
     let heuristic = table4_heuristic(HeuristicExpr::r_distant_descendants(2), 1);
@@ -121,6 +124,7 @@ fn bench_sharding(c: &mut Criterion) {
             .heuristic(heuristic.clone())
             .theta_tuple(dogmatix_eval::setup::THETA_TUPLE)
             .theta_cand(dogmatix_eval::setup::THETA_CAND)
+            .threads(0)
             .sharded(shards)
             .build();
         group.bench_with_input(BenchmarkId::new("shards", shards), &shards, |b, _| {

@@ -82,10 +82,9 @@ use crate::classify::Class;
 use crate::error::DogmatixError;
 use crate::mapping::Mapping;
 use crate::od::{extract_raw_tuples, OdSet, RawTuple};
-use crate::pipeline::{compare_sharded, selections_for_paths, DetectionResult, Dogmatix, RunStats};
-use crate::stage::{
-    FilterDecision, PairClassifier, PreparedMeasure, SimContext, SimilarityMeasure,
-};
+use crate::pipeline::{selections_for_paths, DetectionResult, Dogmatix, RunStats};
+use crate::shard::PairPlan;
+use crate::stage::{FilterDecision, PairClassifier, SimContext, SimilarityMeasure};
 use dogmatix_xml::{Document, NodeId, Schema};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
@@ -891,12 +890,8 @@ pub(crate) fn detect_incremental(
         candidates: &s.candidates.nodes,
         ods: &ods,
     });
-    let scored = score_pairs(
-        prepared.as_ref(),
-        &to_score,
-        dx.classifier_stage().as_ref(),
-        dx.threads(),
-    );
+    // Non-duplicate verdicts are kept so the next delta can replay them.
+    let scored = dx.score_plan(prepared.as_ref(), PairPlan::Pairs(&to_score), true);
     drop(prepared);
     s.counters.pairs_scored += scored.len();
     s.counters.pairs_reused += reused.len();
@@ -994,36 +989,6 @@ fn affected_candidates(n: usize, s: &IncrementalSession, prev: &PrevRun, ods: &O
         }
     }
     affected
-}
-
-/// Scores a pair list, returning every pair with its similarity and
-/// class — unlike the batch comparison loop, non-duplicates are kept so
-/// their verdicts can be replayed after the next delta. Deterministic
-/// regardless of `threads`.
-fn score_pairs(
-    measure: &dyn PreparedMeasure,
-    plan: &[(usize, usize)],
-    classifier: &dyn PairClassifier,
-    threads: usize,
-) -> Vec<(usize, usize, f64, Class)> {
-    let sequential = threads <= 1 || plan.len() < 2048;
-    let mut scored: Vec<(usize, usize, f64, Class)> = compare_sharded(
-        threads,
-        sequential,
-        plan.len(),
-        |start, stride, cache, out: &mut Vec<_>| {
-            let mut p = start;
-            while p < plan.len() {
-                let (i, j) = plan[p];
-                let sim = measure.sim(i, j, cache);
-                out.push((i, j, sim, classifier.classify(sim)));
-                p += stride;
-            }
-        },
-        |out, local| out.extend(local),
-    );
-    scored.sort_by_key(|&(i, j, _, _)| (i, j));
-    scored
 }
 
 #[cfg(test)]

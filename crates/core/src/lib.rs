@@ -23,7 +23,7 @@
 //! | beyond the paper: streaming ingest | [`incremental`] |
 //! | beyond the paper: write-ahead delta log + crash recovery | [`wal`] |
 //! | beyond the paper: q-gram / MinHash-LSH blocking | [`filter`], [`neighborhood`] |
-//! | beyond the paper: sharded pair-plan execution | [`shard`] |
+//! | step 5 pair-plan executor, optionally sharded | [`shard`] |
 //! | beyond the paper: columnar term store + persistent index backends | [`store`], [`backend`] |
 //!
 //! ## Quick start

@@ -19,9 +19,9 @@
 //! resolved candidates and caches object descriptions per selection, so
 //! parameter sweeps and benches stop re-deriving state.
 //!
-//! Pairwise comparison is optionally parallelised over worker threads
-//! (`std::thread::scope`, one pre-sized distance cache per worker);
-//! results are deterministic regardless of the thread count.
+//! Step 5 runs through the one pair-plan executor of [`crate::shard`]:
+//! `threads` sets its worker count and `sharded` how the plan is cut into
+//! units. Results are deterministic regardless of either.
 
 use crate::backend::{IndexContext, TermIndexBackend};
 use crate::candidate::{select_candidates, CandidateSet};
@@ -33,8 +33,8 @@ use crate::heuristics::HeuristicExpr;
 use crate::mapping::Mapping;
 use crate::od::OdSet;
 use crate::output::clusters_to_xml;
-use crate::shard::ShardedDriver;
-use crate::sim::{DistCache, EditKernelChoice, SoftIdfMeasure};
+use crate::shard::{PairPlan, ShardedDriver, Verdict};
+use crate::sim::{EditKernelChoice, SoftIdfMeasure};
 use crate::stage::{
     Clusterer, ComparisonFilter, DescriptionSelector, FilterDecision, PairClassifier,
     PreparedMeasure, SimContext, SimilarityMeasure,
@@ -57,8 +57,8 @@ pub struct DogmatixConfig {
     /// Whether to run the object filter (Step 4). Disabling it compares
     /// every pair — the ablation baseline of Section 6.3.
     pub use_filter: bool,
-    /// Worker threads for pairwise comparison. `1` = sequential,
-    /// `0` = use all available cores.
+    /// Worker threads for pairwise comparison, sharded or not.
+    /// `1` = sequential, `0` = use all available cores.
     pub threads: usize,
 }
 
@@ -383,46 +383,29 @@ impl Dogmatix {
             candidates: &candidates,
             ods: &ods,
         });
-        let threads = self.threads();
-        let classifier = self.classifier.as_ref();
-        let (mut duplicate_pairs, mut possible_pairs, pairs_compared) = match (self.driver, pairs) {
-            (Some(driver), pairs) => {
-                // Sharded execution: materialise the plan (implicit
-                // all-pairs included), hash-partition it, and score the
-                // shards on scoped workers with per-shard caches.
-                let plan: Vec<(usize, usize)> = match pairs {
-                    None => active
-                        .iter()
-                        .enumerate()
-                        .flat_map(|(a, &i)| active[a + 1..].iter().map(move |&j| (i, j)))
-                        .collect(),
-                    Some(plan) => plan
-                        .into_iter()
-                        .filter(|(i, j)| !pruned[*i] && !pruned[*j])
-                        .collect(),
-                };
-                let compared = plan.len();
-                let found = driver.execute(&ods, prepared.as_ref(), classifier, &plan);
-                (found.0, found.1, compared)
-            }
-            (None, None) => {
-                let m = active.len();
-                let found = compare_all(prepared.as_ref(), &active, classifier, threads);
-                (found.0, found.1, m * m.saturating_sub(1) / 2)
-            }
-            (None, Some(plan)) => {
-                let plan: Vec<(usize, usize)> = plan
+        let explicit: Vec<(usize, usize)>;
+        let plan = match pairs {
+            None => PairPlan::AllPairs(&active),
+            Some(plan) => {
+                explicit = plan
                     .into_iter()
                     .filter(|(i, j)| !pruned[*i] && !pruned[*j])
                     .collect();
-                let compared = plan.len();
-                let found = compare_plan(prepared.as_ref(), &plan, classifier, threads);
-                (found.0, found.1, compared)
+                PairPlan::Pairs(&explicit)
             }
         };
+        let pairs_compared = plan.len();
+        let verdicts = self.score_plan(prepared.as_ref(), plan, false);
         drop(prepared);
-        duplicate_pairs.sort_by_key(|p| (p.0, p.1));
-        possible_pairs.sort_by_key(|p| (p.0, p.1));
+        let mut duplicate_pairs = Vec::new();
+        let mut possible_pairs = Vec::new();
+        for (i, j, sim, class) in verdicts {
+            match class {
+                Class::Duplicate => duplicate_pairs.push((i, j, sim)),
+                Class::Possible => possible_pairs.push((i, j, sim)),
+                Class::NonDuplicate => {}
+            }
+        }
 
         // Step 6: duplicate clustering.
         let pairs_only: Vec<(usize, usize)> =
@@ -529,13 +512,27 @@ impl Dogmatix {
         crate::incremental::detect_incremental(self, session, deltas)
     }
 
-    pub(crate) fn threads(&self) -> usize {
-        match self.config.threads {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+    /// Step 5: scores `plan` with this detector's classifier on its
+    /// `threads` workers (`0` = all cores), cut into units by its
+    /// `sharded` policy. See [`crate::shard`].
+    pub(crate) fn score_plan(
+        &self,
+        measure: &dyn PreparedMeasure,
+        plan: PairPlan<'_>,
+        keep_non_duplicates: bool,
+    ) -> Vec<Verdict> {
+        let workers = match self.config.threads {
+            0 => crate::shard::available_cores(),
             t => t,
-        }
+        };
+        crate::shard::execute(
+            plan,
+            self.driver,
+            workers,
+            measure,
+            self.classifier.as_ref(),
+            keep_non_duplicates,
+        )
     }
 
     /// The description-selection stage.
@@ -709,18 +706,19 @@ impl DogmatixBuilder {
     }
 
     /// Sets the worker-thread count for pairwise comparison (`0` = all
-    /// available cores).
+    /// available cores). This is the only setting that decides how many
+    /// threads score pairs, sharded or not.
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.threads = threads;
         self
     }
 
-    /// Executes pairwise comparison through a
-    /// [`ShardedDriver`]: the pair plan is
-    /// hash-partitioned by candidate id into `shards` per-shard plans
-    /// (plus a cross-shard residual), each scored by its own scoped
-    /// worker with a plan-sized distance cache. `0` = one shard per
-    /// available core. Results are bit-identical to the unsharded
+    /// Cuts the pair plan into work units with a [`ShardedDriver`]: it
+    /// is hash-partitioned by candidate id into `shards` per-shard plans
+    /// (`0` = one per available core), and the cross-shard residual is
+    /// chunked. This decides only the units; [`DogmatixBuilder::threads`]
+    /// decides how many workers score them, so `.threads(1).sharded(8)`
+    /// runs sequentially. Results are bit-identical to the unsharded
     /// pipeline at every shard count.
     pub fn sharded(mut self, shards: usize) -> Self {
         self.driver = Some(ShardedDriver::new(shards));
@@ -799,141 +797,6 @@ impl DogmatixBuilder {
             index_backend,
         }
     }
-}
-
-/// Compares all pairs of `active` candidates, returning the detected
-/// duplicate and possible-duplicate pairs.
-fn compare_all(
-    measure: &dyn PreparedMeasure,
-    active: &[usize],
-    classifier: &dyn PairClassifier,
-    threads: usize,
-) -> FoundPairs {
-    let sequential = threads <= 1 || active.len() < 64;
-    compare_sharded(
-        threads,
-        sequential,
-        active.len(),
-        |start, stride, cache, found| {
-            let mut a = start;
-            while a < active.len() {
-                let i = active[a];
-                for &j in &active[a + 1..] {
-                    score_pair(measure, classifier, i, j, cache, found);
-                }
-                a += stride;
-            }
-        },
-        merge_found,
-    )
-}
-
-/// Compares an explicit pair plan (blocking filters), same contract as
-/// [`compare_all`].
-fn compare_plan(
-    measure: &dyn PreparedMeasure,
-    plan: &[(usize, usize)],
-    classifier: &dyn PairClassifier,
-    threads: usize,
-) -> FoundPairs {
-    let sequential = threads <= 1 || plan.len() < 2048;
-    compare_sharded(
-        threads,
-        sequential,
-        plan.len(),
-        |start, stride, cache, found| {
-            let mut p = start;
-            while p < plan.len() {
-                let (i, j) = plan[p];
-                score_pair(measure, classifier, i, j, cache, found);
-                p += stride;
-            }
-        },
-        merge_found,
-    )
-}
-
-/// Duplicate and possible-duplicate pairs found by one comparison pass.
-pub(crate) type FoundPairs = (Vec<(usize, usize, f64)>, Vec<(usize, usize, f64)>);
-
-/// Scores one pair and files it into the matching bucket.
-#[inline]
-pub(crate) fn score_pair(
-    measure: &dyn PreparedMeasure,
-    classifier: &dyn PairClassifier,
-    i: usize,
-    j: usize,
-    cache: &mut DistCache,
-    found: &mut FoundPairs,
-) {
-    let sim = measure.sim(i, j, cache);
-    match classifier.classify(sim) {
-        Class::Duplicate => found.0.push((i, j, sim)),
-        Class::Possible => found.1.push((i, j, sim)),
-        Class::NonDuplicate => {}
-    }
-}
-
-/// Drives a comparison pass over an arbitrary accumulator `R`:
-/// sequentially (`shard(0, 1, …)` covers all work with a fresh cache),
-/// or round-robin across `threads` scoped workers, each owning a private
-/// pre-sized distance cache; `merge` folds each worker's local
-/// accumulator into the shared one under a mutex. Worker outputs are
-/// concatenated in arrival order; callers sort, so results are
-/// deterministic regardless of the thread count. Shared with the
-/// incremental path ([`crate::incremental`]), whose accumulator also
-/// keeps non-duplicate verdicts.
-pub(crate) fn compare_sharded<R, F>(
-    threads: usize,
-    sequential: bool,
-    work_items: usize,
-    shard: F,
-    merge: impl Fn(&mut R, R) + Sync,
-) -> R
-where
-    R: Default + Send,
-    F: Fn(usize, usize, &mut DistCache, &mut R) + Sync,
-{
-    if sequential {
-        let mut found = R::default();
-        shard(0, 1, &mut DistCache::new(), &mut found);
-        return found;
-    }
-
-    let cache_entries = worker_cache_capacity(work_items, threads);
-    let results = std::sync::Mutex::new(R::default());
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let results = &results;
-            let shard = &shard;
-            let merge = &merge;
-            scope.spawn(move || {
-                let mut cache = DistCache::with_capacity(cache_entries);
-                let mut local = R::default();
-                shard(t, threads, &mut cache, &mut local);
-                // dxlint: allow(no-panic) — poisoning means a worker already panicked; propagate the abort
-                let mut out = results.lock().expect("no worker panicked holding the lock");
-                merge(&mut out, local);
-            });
-        }
-    });
-    results
-        .into_inner()
-        // dxlint: allow(no-panic) — poisoning means a worker already panicked; propagate the abort
-        .expect("no worker panicked holding the lock")
-}
-
-/// Folds one worker's [`FoundPairs`] into the shared accumulator.
-fn merge_found(out: &mut FoundPairs, local: FoundPairs) {
-    out.0.extend(local.0);
-    out.1.extend(local.1);
-}
-
-/// A worker cache sized for its share of the comparison work: each
-/// round-robin worker executes `work_items / threads` pairs, and the
-/// shared plan-based sizing ([`crate::sim`]) clamps tiny and huge plans.
-fn worker_cache_capacity(work_items: usize, threads: usize) -> usize {
-    crate::sim::cache_capacity_for_plan(work_items / threads.max(1))
 }
 
 #[cfg(test)]

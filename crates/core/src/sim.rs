@@ -177,9 +177,8 @@ impl OdView for OdSet {
 /// use dogmatix_core::sim::DistCache;
 /// let mut cache = DistCache::new();
 /// assert!(cache.is_empty());
-/// let sized = DistCache::for_plan(10_000);
-/// assert!(sized.capacity() >= 16 * 1024);
-/// # let _ = &mut cache;
+/// cache.reset_for_plan(10_000);
+/// assert!(cache.capacity() >= 16 * 1024);
 /// ```
 #[derive(Debug, Default)]
 pub struct DistCache {
@@ -209,30 +208,12 @@ impl DistCache {
         DistCache::default()
     }
 
-    /// Creates an empty cache whose maps are pre-sized for roughly
-    /// `entries` memoised term pairs, so a worker that is about to score
-    /// a known share of the comparison work does not rehash its way up
-    /// from an empty table. Used by the parallel pairwise path (one
-    /// pre-sized cache per worker thread).
-    pub fn with_capacity(entries: usize) -> Self {
-        DistCache {
-            dist: HashMap::with_capacity(entries),
-            similar: HashMap::with_capacity(entries),
-            union: HashMap::with_capacity(entries),
-            scratch_candidates: Vec::new(),
-            scratch_used_i: Vec::new(),
-            scratch_used_j: Vec::new(),
-            scratch_row: Vec::new(),
-            kernel_scratch: KernelScratch::new(),
-        }
-    }
-
-    /// Resets the cache for the next unit of a plan: memo tables are
-    /// cleared (per-unit memoisation keeps memory bounded exactly as a
-    /// fresh cache would) and grown toward the plan-derived capacity,
-    /// while every scratch allocation — kernel pattern state, DP rows,
-    /// batch buffers — stays warm. Workers executing many units reuse
-    /// one cache through this instead of building a new one per unit.
+    /// Resets the cache for the next plan of `plan_len` pairs: memo
+    /// tables are cleared (per-plan memoisation keeps memory bounded
+    /// exactly as a fresh cache would) and grown toward the plan-derived
+    /// capacity, while every scratch allocation — kernel pattern state,
+    /// DP rows, batch buffers — stays warm. The probe path reuses one
+    /// cache across requests through this.
     pub fn reset_for_plan(&mut self, plan_len: usize) {
         let target = cache_capacity_for_plan(plan_len);
         self.dist.clear();
@@ -244,18 +225,6 @@ impl DistCache {
             .reserve(target.saturating_sub(self.similar.capacity()));
         self.union
             .reserve(target.saturating_sub(self.union.capacity()));
-    }
-
-    /// Creates a cache pre-sized for a comparison plan of `plan_len`
-    /// pairs — the per-worker sizing used by both the round-robin
-    /// pipeline workers and the sharded driver.
-    ///
-    /// Sizing from the *plan the worker actually executes* (rather than
-    /// a global pool estimate) matters for skewed shards: a shard whose
-    /// plan holds a single pair gets the minimum table instead of a
-    /// share of the whole run's pair count.
-    pub fn for_plan(plan_len: usize) -> Self {
-        DistCache::with_capacity(cache_capacity_for_plan(plan_len))
     }
 
     /// Number of memoised entries the maps can hold before rehashing.
@@ -274,12 +243,12 @@ impl DistCache {
     }
 }
 
-/// Memoised-entry budget for a worker about to score `plan_len` pairs.
+/// Memoised-entry budget for a cache about to score `plan_len` pairs.
 /// Only *frequent* term pairs are memoised, and their count is far below
 /// the OD-pair count, so roughly two entries per planned pair is ample;
-/// the clamp keeps tiny shards at the minimum table and huge corpora
+/// the clamp keeps tiny plans at the minimum table and huge corpora
 /// bounded. (Over-sizing is not free: allocating multi-megabyte tables
-/// per shard costs more than the rehashes they would avoid.)
+/// costs more than the rehashes they would avoid.)
 pub(crate) fn cache_capacity_for_plan(plan_len: usize) -> usize {
     plan_len.saturating_mul(2).clamp(16, 1 << 16)
 }
@@ -1254,7 +1223,8 @@ mod tests {
         );
         let engine = SimEngine::new(&ods, 0.45);
         let mut fresh = DistCache::new();
-        let mut reused = DistCache::for_plan(64);
+        let mut reused = DistCache::new();
+        reused.reset_for_plan(64);
         engine.sim(0, 2, &mut reused);
         assert!(!reused.is_empty());
         reused.reset_for_plan(8);
@@ -1272,38 +1242,21 @@ mod tests {
     }
 
     #[test]
-    fn with_capacity_presizes_and_agrees_with_new() {
-        let ods = movie_odset();
-        let engine = SimEngine::new(&ods, 0.45);
-        let mut cold = DistCache::new();
-        let mut warm = DistCache::with_capacity(64);
-        assert!(warm.capacity() >= 64);
-        assert!(warm.is_empty());
-        for i in 0..ods.len() {
-            for j in (i + 1)..ods.len() {
-                assert_eq!(
-                    engine.sim(i, j, &mut cold),
-                    engine.sim(i, j, &mut warm),
-                    "capacity must not change results"
-                );
-            }
-        }
-        assert_eq!(cold.len(), warm.len());
-    }
-
-    #[test]
     fn plan_sized_cache_scales_with_the_plan_not_the_pool() {
-        // Regression: a 1-pair shard used to inherit a share of the
-        // global pool estimate; it must get the minimum table instead.
+        // A 1-pair plan gets the minimum table, not a share of some
+        // larger estimate.
         assert_eq!(cache_capacity_for_plan(0), 16);
         assert_eq!(cache_capacity_for_plan(1), 16);
-        let one_pair = DistCache::for_plan(1);
+        let mut one_pair = DistCache::new();
+        one_pair.reset_for_plan(1);
         assert!(
             one_pair.capacity() <= 64,
-            "a 1-pair shard must not pre-allocate a pool-sized table, got {}",
+            "a 1-pair plan must not pre-allocate a large table, got {}",
             one_pair.capacity()
         );
-        assert!(DistCache::for_plan(10_000).capacity() >= 16 * 1024);
+        let mut large = DistCache::new();
+        large.reset_for_plan(10_000);
+        assert!(large.capacity() >= 16 * 1024);
         assert_eq!(cache_capacity_for_plan(usize::MAX), 1 << 16);
     }
 

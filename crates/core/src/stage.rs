@@ -113,9 +113,10 @@ impl FilterDecision {
 /// comparison step.
 ///
 /// The resulting pair plan is an *input* to execution, not a
-/// prescription of it: the pipeline scores it sequentially, round-robin
-/// across worker threads, or hash-partitioned into per-shard plans via
-/// [`crate::shard::ShardedDriver`] — all with bit-identical results.
+/// prescription of it: the one pair-plan executor of [`crate::shard`]
+/// scores it on the detector's `threads` workers, in plain chunks or in
+/// the hash shards of a [`crate::shard::ShardedDriver`] — all with
+/// bit-identical results.
 pub trait ComparisonFilter: fmt::Debug + Send + Sync {
     /// Decides which candidates and pairs survive.
     fn reduce(&self, ods: &OdSet) -> FilterDecision;

@@ -273,7 +273,8 @@ fn no_column_index(file: &SourceFile, allows: &Allows, out: &mut Vec<Finding>) {
 }
 
 /// no-hot-alloc: the pairwise hot paths (sim.rs, simgraph.rs, filter.rs,
-/// shard.rs), the probe lookup path (probe.rs), and the textsim comparison kernels
+/// and shard.rs, the Step 5 pair-plan executor), the probe lookup path
+/// (probe.rs), and the textsim comparison kernels
 /// (levenshtein, bounds, ned, myers, kernel) must not allocate Strings
 /// per comparison — `format!`, `String::new` and friends,
 /// `.to_string()`, `.to_owned()` are banned there.

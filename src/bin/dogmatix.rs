@@ -13,7 +13,8 @@
 //!   --theta-tuple <f>      similarity threshold for values   (default 0.15)
 //!   --theta-cand <f>       duplicate threshold               (default 0.55)
 //!   --threads <N>          comparison worker threads; 0 = all cores
-//!                          (default 0)
+//!                          (default 0); the only setting that decides
+//!                          how many threads score pairs
 //!   --edit-kernel <k>      edit-distance kernel for the comparison
 //!                          phase: 'bitpar' (Myers' bit-parallel
 //!                          algorithm, default) or 'scalar' (banded DP);
@@ -34,8 +35,11 @@
 //!   --mem-budget <bytes>   buffer-pool memory budget for --index-load
 //!                          (default 67108864 = 64 MiB); peak pool
 //!                          residency never exceeds it
-//!   --shards <N>           execute the pair plan through the sharded
-//!                          driver with N shards; 0 = one per core
+//!   --shards <N>           cut the pair plan into N hash shards plus a
+//!                          chunked cross-shard residual; 0 = one shard
+//!                          per core. Only the units change: --threads
+//!                          still sets the workers (--threads 1 runs
+//!                          sequentially), and results are identical
 //!   --no-filter            disable comparison reduction
 //!   --fuse                 also write a fused (deduplicated) document
 //!   --output <file>        write the dup-cluster XML here (default stdout)

@@ -11,11 +11,13 @@ mod common;
 
 use common::{build_doc, cases, record_strategy, MiniRecord};
 use dogmatix_repro::core::filter::{MinHashLshBlocking, QGramBlocking};
+use dogmatix_repro::core::incremental::DocumentDelta;
 use dogmatix_repro::core::neighborhood::{SortedNeighborhoodFilter, TopKBlocking};
 use dogmatix_repro::core::pipeline::Dogmatix;
 use dogmatix_repro::core::shard::ShardedDriver;
 use dogmatix_repro::datagen::datasets::dataset1_sized;
 use dogmatix_repro::eval::setup;
+use dogmatix_repro::xml::serializer::node_to_string;
 use dogmatix_repro::xml::Schema;
 use proptest::prelude::*;
 
@@ -220,5 +222,66 @@ fn cd_corpus_blocking_filters_shard_cleanly() {
         for shards in SHARD_COUNTS {
             assert_eq!(build(Some(shards)), baseline, "{name} shards={shards}");
         }
+    }
+}
+
+/// Incremental sessions cut Step 5 into units by the detector's sharded
+/// policy too: after an update and then an insert, a sharded detector's
+/// deltas must reproduce the unsharded batch run over the final
+/// document bit for bit, as must its batch run. Two workers and a corpus
+/// past the executor's sequential cutoff (2,048 pairs) put both on the
+/// worker pool.
+#[test]
+fn sharded_incremental_deltas_match_unsharded_batch() {
+    let (doc, _) = dataset1_sized(7, 40);
+    let schema = setup::cd_schema();
+    let builder = || {
+        Dogmatix::builder()
+            .mapping(setup::cd_mapping())
+            .theta_tuple(setup::THETA_TUPLE)
+            .theta_cand(setup::THETA_CAND)
+            .threads(2)
+    };
+    let first = doc.select("/discs/disc").expect("candidates resolve")[0];
+    let deltas = [
+        DocumentDelta::UpdateText {
+            index: 3,
+            path: "title".into(),
+            occurrence: 0,
+            value: "Retitled Album".into(),
+        },
+        DocumentDelta::InsertXml {
+            parent_path: "/discs".into(),
+            xml: node_to_string(&doc, first),
+        },
+    ];
+    for shards in SHARD_COUNTS {
+        let dx = builder().sharded(shards).build();
+        let mut session = dx
+            .incremental_session(doc.clone(), schema.clone(), setup::CD_TYPE)
+            .expect("session opens");
+        dx.detect_delta(&mut session, &[]).expect("initial run");
+        let mut result = None;
+        for delta in &deltas {
+            result = Some(
+                dx.detect_delta(&mut session, std::slice::from_ref(delta))
+                    .expect("delta applies"),
+            );
+        }
+        let result = result.expect("two deltas ran");
+        let batch = builder()
+            .build()
+            .run(session.doc(), &schema, setup::CD_TYPE)
+            .expect("batch runs");
+        assert!(batch.stats.pairs_compared >= 2048);
+        // The insert changes the candidate set, so every planned pair is
+        // re-scored and even `pairs_compared` agrees.
+        assert_eq!(result, batch, "shards={shards}");
+        // The same detector's batch run scores the lazy all-pairs plan
+        // on the pool.
+        let sharded_batch = dx
+            .run(session.doc(), &schema, setup::CD_TYPE)
+            .expect("sharded batch runs");
+        assert_eq!(sharded_batch, batch, "batch shards={shards}");
     }
 }
