@@ -29,8 +29,8 @@ cargo test -q --features audit --test audit
 echo "==> streaming differential suite at CI depth (PROPTEST_CASES=128)"
 PROPTEST_CASES=128 cargo test -q --test incremental
 
-echo "==> sharding differential suite at CI depth (PROPTEST_CASES=128)"
-PROPTEST_CASES=128 cargo test -q --test sharding
+echo "==> worker-pool differential suite at CI depth (PROPTEST_CASES=128)"
+PROPTEST_CASES=128 cargo test -q --test parallel
 
 echo "==> snapshot round-trip + corruption suite at CI depth (PROPTEST_CASES=128)"
 PROPTEST_CASES=128 cargo test -q --test snapshot
@@ -50,9 +50,8 @@ PROPTEST_CASES=256 cargo test -q -p dogmatix_textsim --test kernel_differential
 echo "==> streaming bench sanity (delta replay must beat full re-detection)"
 cargo bench -q -p dogmatix_bench --bench streaming >/dev/null
 
-echo "==> scaling bench sanity (one pair-plan executor, two unit policies: sharded"
-echo "    wall-clock must not exceed chunked;"
-echo "    columnar comparison phase must not regress past the recorded baseline)"
+echo "==> scaling bench sanity (columnar comparison phase must not regress"
+echo "    past the recorded baseline; the threads group only reports)"
 cargo bench -q -p dogmatix_bench --bench scaling >/dev/null
 
 echo "==> probe bench sanity (probe cost on a 4x corpus must stay under 2x;"

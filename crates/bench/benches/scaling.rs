@@ -5,16 +5,10 @@
 //! Each size is measured twice: cold (`run`, re-deriving candidates and
 //! ODs every iteration) and warm (`detect` against a reused
 //! [`dogmatix_core::pipeline::DetectionSession`]), so the session cache's
-//! payoff is itself tracked.
-//!
-//! Before the criterion groups run, a **sharding sanity pass** executes
-//! on the movie corpus at `threads = 0`: the one pair-plan executor under
-//! the sharded unit policy (auto shard count) must produce a
-//! bit-identical result to the same executor under its default chunked
-//! units and must not be slower beyond scheduler noise — both policies
-//! cut the same work for the same workers, so wall-clock parity is the
-//! expectation and a real slowdown is a regression. Best-of-N timings
-//! absorb jitter.
+//! payoff is itself tracked. A `threads` group times the movie corpus at
+//! 1, 2 and all comparison workers; it reports and gates nothing (the
+//! results are bit-identical at every count, which `tests/parallel.rs`
+//! proves).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dogmatix_bench::{CdFixture, MovieFixture};
@@ -22,91 +16,7 @@ use dogmatix_core::heuristics::{table4_heuristic, HeuristicExpr};
 use dogmatix_core::pipeline::Dogmatix;
 use std::time::{Duration, Instant};
 
-/// Best-of-`rounds` wall clock for two contenders, measured
-/// **interleaved** (a, b, a, b, …) so machine-load drift during the pass
-/// hits both equally instead of whichever happened to run last.
-fn best_of_interleaved(
-    rounds: usize,
-    mut a: impl FnMut(),
-    mut b: impl FnMut(),
-) -> (Duration, Duration) {
-    let mut best = (Duration::MAX, Duration::MAX);
-    for _ in 0..rounds {
-        let t = Instant::now();
-        a();
-        best.0 = best.0.min(t.elapsed());
-        let t = Instant::now();
-        b();
-        best.1 = best.1.min(t.elapsed());
-    }
-    best
-}
-
-/// The sharding sanity pass the CI gate relies on: on the movie corpus
-/// at `threads = 0`, the pair-plan executor under the sharded unit policy
-/// (auto shard count) is bit-identical to the same executor under its
-/// default chunked units, and its wall-clock does not exceed theirs
-/// beyond a 10% scheduler-noise allowance (the two policies cut the same
-/// comparison plan for the same workers).
-fn sharding_sanity() {
-    let fixture = MovieFixture::dataset2(80);
-    let heuristic = table4_heuristic(HeuristicExpr::r_distant_descendants(2), 1);
-    let build = |sharded: bool| -> Dogmatix {
-        let mut b = dogmatix_core::pipeline::Dogmatix::builder()
-            .mapping(fixture.mapping.clone())
-            .heuristic(heuristic.clone())
-            .theta_tuple(dogmatix_eval::setup::THETA_TUPLE)
-            .theta_cand(dogmatix_eval::setup::THETA_CAND)
-            .threads(0);
-        if sharded {
-            b = b.sharded(0);
-        }
-        b.build()
-    };
-    let unsharded = build(false);
-    let sharded = build(true);
-    let rw = dogmatix_eval::setup::MOVIE_TYPE;
-    let session = dogmatix_core::pipeline::DetectionSession::new(
-        &fixture.doc,
-        &fixture.schema,
-        &fixture.mapping,
-        rw,
-    )
-    .expect("the movie fixture wiring is valid");
-
-    // Correctness first: identical results (scores included).
-    let base = unsharded.detect(&session).expect("unsharded runs");
-    let shard = sharded.detect(&session).expect("sharded runs");
-    assert_eq!(shard, base, "sharded result diverged from unsharded");
-    assert!(!base.duplicate_pairs.is_empty(), "corpus has duplicates");
-
-    // Warm both paths (the correctness check above), then best-of-9
-    // interleaved rounds: the minimum strips scheduler noise, the
-    // interleaving strips load drift.
-    let (unsharded_best, sharded_best) = best_of_interleaved(
-        9,
-        || {
-            let _ = unsharded.detect(&session).expect("unsharded runs");
-        },
-        || {
-            let _ = sharded.detect(&session).expect("sharded runs");
-        },
-    );
-    assert!(
-        sharded_best.as_secs_f64() <= unsharded_best.as_secs_f64() * 1.10,
-        "sharded execution must not be slower than unsharded \
-         (sharded {sharded_best:?} vs unsharded {unsharded_best:?})"
-    );
-    println!(
-        "sharding sanity (movie, threads=0): sharded {sharded_best:?} \
-         vs unsharded {unsharded_best:?} over {} pairs",
-        base.stats.pairs_compared
-    );
-}
-
-fn bench_sharding(c: &mut Criterion) {
-    sharding_sanity();
-
+fn bench_threads(c: &mut Criterion) {
     let fixture = MovieFixture::dataset2(60);
     let heuristic = table4_heuristic(HeuristicExpr::r_distant_descendants(2), 1);
     let session = dogmatix_core::pipeline::DetectionSession::new(
@@ -116,18 +26,17 @@ fn bench_sharding(c: &mut Criterion) {
         dogmatix_eval::setup::MOVIE_TYPE,
     )
     .expect("fixture wiring is valid");
-    let mut group = c.benchmark_group("sharded_movie");
+    let mut group = c.benchmark_group("threads");
     group.sample_size(10);
-    for shards in [1usize, 2, 8, 0] {
+    for threads in [1usize, 2, 0] {
         let dx = Dogmatix::builder()
             .mapping(fixture.mapping.clone())
             .heuristic(heuristic.clone())
             .theta_tuple(dogmatix_eval::setup::THETA_TUPLE)
             .theta_cand(dogmatix_eval::setup::THETA_CAND)
-            .threads(0)
-            .sharded(shards)
+            .threads(threads)
             .build();
-        group.bench_with_input(BenchmarkId::new("shards", shards), &shards, |b, _| {
+        group.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, _| {
             b.iter(|| dx.detect(&session).unwrap())
         });
     }
@@ -236,5 +145,5 @@ fn bench_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_sharding, bench_scaling);
+criterion_group!(benches, bench_threads, bench_scaling);
 criterion_main!(benches);

@@ -157,7 +157,7 @@ impl ComparisonFilter for ObjectFilter {
 }
 
 /// The no-op filter: every pair is compared — the ablation baseline of
-/// Section 6.3 (`use_filter: false` in the legacy configuration).
+/// Section 6.3 (`DogmatixBuilder::no_filter`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NoFilter;
 

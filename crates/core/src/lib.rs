@@ -23,7 +23,7 @@
 //! | beyond the paper: streaming ingest | [`incremental`] |
 //! | beyond the paper: write-ahead delta log + crash recovery | [`wal`] |
 //! | beyond the paper: q-gram / MinHash-LSH blocking | [`filter`], [`neighborhood`] |
-//! | step 5 pair-plan executor, optionally sharded | [`shard`] |
+//! | step 5 pair-plan executor and its worker pool | [`shard`] |
 //! | beyond the paper: columnar term store + persistent index backends | [`store`], [`backend`] |
 //!
 //! ## Quick start

@@ -12,16 +12,15 @@
 //!    [`PairClassifier`]
 //! 6. duplicate clustering → a [`Clusterer`]
 //!
-//! Detectors are assembled with [`Dogmatix::builder`]; the legacy
-//! [`Dogmatix::new`] constructor wires the paper's default stages from a
-//! [`DogmatixConfig`] and produces identical results. Repeated runs over
-//! the same document reuse a [`DetectionSession`], which holds the
-//! resolved candidates and caches object descriptions per selection, so
-//! parameter sweeps and benches stop re-deriving state.
+//! Detectors are assembled with [`Dogmatix::builder`], which derives
+//! every unset stage from the paper's defaults in [`DogmatixConfig`].
+//! Repeated runs over the same document reuse a [`DetectionSession`],
+//! which holds the resolved candidates and caches object descriptions per
+//! selection, so parameter sweeps and benches stop re-deriving state.
 //!
-//! Step 5 runs through the one pair-plan executor of [`crate::shard`]:
-//! `threads` sets its worker count and `sharded` how the plan is cut into
-//! units. Results are deterministic regardless of either.
+//! Step 5 runs through the one pair-plan executor of [`crate::shard`];
+//! `threads` sets its worker count, and results are bit-identical at
+//! every count.
 
 use crate::backend::{IndexContext, TermIndexBackend};
 use crate::candidate::{select_candidates, CandidateSet};
@@ -33,8 +32,8 @@ use crate::heuristics::HeuristicExpr;
 use crate::mapping::Mapping;
 use crate::od::OdSet;
 use crate::output::clusters_to_xml;
-use crate::shard::{PairPlan, ShardedDriver, Verdict};
-use crate::sim::{EditKernelChoice, SoftIdfMeasure};
+use crate::shard::{PairPlan, Verdict};
+use crate::sim::SoftIdfMeasure;
 use crate::stage::{
     Clusterer, ComparisonFilter, DescriptionSelector, FilterDecision, PairClassifier,
     PreparedMeasure, SimContext, SimilarityMeasure,
@@ -44,8 +43,8 @@ use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-/// Configuration of one DogmatiX run (the legacy, paper-default view;
-/// [`Dogmatix::builder`] is the general API).
+/// The paper's default thresholds and heuristic, from which
+/// [`Dogmatix::builder`] derives every stage left unset.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DogmatixConfig {
     /// Tuple-similarity threshold `θ_tuple` (paper: 0.15).
@@ -54,12 +53,6 @@ pub struct DogmatixConfig {
     pub theta_cand: f64,
     /// Description-selection heuristic.
     pub heuristic: HeuristicExpr,
-    /// Whether to run the object filter (Step 4). Disabling it compares
-    /// every pair — the ablation baseline of Section 6.3.
-    pub use_filter: bool,
-    /// Worker threads for pairwise comparison, sharded or not.
-    /// `1` = sequential, `0` = use all available cores.
-    pub threads: usize,
 }
 
 impl Default for DogmatixConfig {
@@ -68,8 +61,6 @@ impl Default for DogmatixConfig {
             theta_tuple: 0.15,
             theta_cand: 0.55,
             heuristic: HeuristicExpr::r_distant_descendants(1),
-            use_filter: true,
-            threads: 1,
         }
     }
 }
@@ -260,49 +251,35 @@ impl std::fmt::Debug for DetectionSession<'_> {
 #[derive(Debug, Clone)]
 pub struct Dogmatix {
     config: DogmatixConfig,
+    threads: usize,
     mapping: Mapping,
     selector: Arc<dyn DescriptionSelector>,
     filter: Arc<dyn ComparisonFilter>,
     measure: Arc<dyn SimilarityMeasure>,
     classifier: Arc<dyn PairClassifier>,
     clusterer: Arc<dyn Clusterer>,
-    driver: Option<ShardedDriver>,
     index_backend: Option<Arc<dyn TermIndexBackend>>,
 }
 
 impl Dogmatix {
-    /// Creates a detector with the paper's default stages wired from the
-    /// configuration (the legacy API; equivalent to the builder).
-    pub fn new(config: DogmatixConfig, mapping: Mapping) -> Self {
-        let mut builder = Dogmatix::builder().mapping(mapping);
-        builder.config = config;
-        builder.build()
-    }
-
     /// Starts assembling a detector stage by stage.
     ///
-    /// Unset stages fall back to the paper's defaults derived from the
-    /// configuration values (`theta_tuple`, `theta_cand`, `heuristic`,
-    /// `use_filter`).
+    /// Unset stages fall back to the paper's defaults derived from
+    /// `theta_tuple`, `theta_cand` and `heuristic` (the object filter,
+    /// the softIDF measure and the threshold classifier); comparison runs
+    /// on one thread.
     pub fn builder() -> DogmatixBuilder {
         DogmatixBuilder {
             config: DogmatixConfig::default(),
+            threads: 1,
             mapping: Mapping::new(),
             selector: None,
             filter: None,
             measure: None,
             classifier: None,
             clusterer: None,
-            driver: None,
             index_backend: None,
-            edit_kernel: EditKernelChoice::default(),
         }
-    }
-
-    /// The configuration (legacy view; stages set explicitly on the
-    /// builder are not reflected here).
-    pub fn config(&self) -> &DogmatixConfig {
-        &self.config
     }
 
     /// The mapping `M`.
@@ -513,26 +490,32 @@ impl Dogmatix {
     }
 
     /// Step 5: scores `plan` with this detector's classifier on its
-    /// `threads` workers (`0` = all cores), cut into units by its
-    /// `sharded` policy. See [`crate::shard`].
+    /// [`Dogmatix::workers`]. See [`crate::shard`].
     pub(crate) fn score_plan(
         &self,
         measure: &dyn PreparedMeasure,
         plan: PairPlan<'_>,
         keep_non_duplicates: bool,
     ) -> Vec<Verdict> {
-        let workers = match self.config.threads {
-            0 => crate::shard::available_cores(),
-            t => t,
-        };
         crate::shard::execute(
             plan,
-            self.driver,
-            workers,
+            self.workers(),
             measure,
             self.classifier.as_ref(),
             keep_non_duplicates,
         )
+    }
+
+    /// The worker count Step 5 runs on: `threads`, with `0` resolved to
+    /// all cores and larger counts capped at them, since extra workers
+    /// only add threads to start. The default single worker needs no
+    /// look at the machine.
+    pub(crate) fn workers(&self) -> usize {
+        match self.threads {
+            1 => 1,
+            0 => crate::shard::available_cores(),
+            t => t.min(crate::shard::available_cores()),
+        }
     }
 
     /// The description-selection stage.
@@ -589,20 +572,19 @@ impl Dogmatix {
 ///     .theta_cand(0.55)
 ///     .threads(4)
 ///     .build();
-/// assert_eq!(dx.config().threads, 4);
+/// # let _ = dx;
 /// ```
 #[derive(Debug, Clone)]
 pub struct DogmatixBuilder {
     config: DogmatixConfig,
+    threads: usize,
     mapping: Mapping,
     selector: Option<Arc<dyn DescriptionSelector>>,
     filter: Option<Arc<dyn ComparisonFilter>>,
     measure: Option<Arc<dyn SimilarityMeasure>>,
     classifier: Option<Arc<dyn PairClassifier>>,
     clusterer: Option<Arc<dyn Clusterer>>,
-    driver: Option<ShardedDriver>,
     index_backend: Option<Arc<dyn TermIndexBackend>>,
-    edit_kernel: EditKernelChoice,
 }
 
 impl DogmatixBuilder {
@@ -656,27 +638,7 @@ impl DogmatixBuilder {
     /// Disables comparison reduction (the Section 6.3 ablation): every
     /// pair is compared.
     pub fn no_filter(mut self) -> Self {
-        self.config.use_filter = false;
         self.filter = Some(Arc::new(NoFilter));
-        self
-    }
-
-    /// Selects the edit-distance kernel the default similarity measure
-    /// scores through (CLI: `--edit-kernel`). Kernels are exact, so the
-    /// choice never changes detection results — only throughput.
-    /// Ignored when a custom measure is set.
-    ///
-    /// ```
-    /// use dogmatix_core::pipeline::Dogmatix;
-    /// use dogmatix_core::sim::EditKernelChoice;
-    /// let dx = Dogmatix::builder()
-    ///     .add_type("M", ["/db/m"])
-    ///     .edit_kernel(EditKernelChoice::Scalar)
-    ///     .build();
-    /// # let _ = dx;
-    /// ```
-    pub fn edit_kernel(mut self, choice: EditKernelChoice) -> Self {
-        self.edit_kernel = choice;
         self
     }
 
@@ -705,23 +667,11 @@ impl DogmatixBuilder {
         self
     }
 
-    /// Sets the worker-thread count for pairwise comparison (`0` = all
-    /// available cores). This is the only setting that decides how many
-    /// threads score pairs, sharded or not.
+    /// Sets the worker-thread count for pairwise comparison (default 1).
+    /// `0` means all available cores, and a larger count is capped at
+    /// them. Results are bit-identical at every count.
     pub fn threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads;
-        self
-    }
-
-    /// Cuts the pair plan into work units with a [`ShardedDriver`]: it
-    /// is hash-partitioned by candidate id into `shards` per-shard plans
-    /// (`0` = one per available core), and the cross-shard residual is
-    /// chunked. This decides only the units; [`DogmatixBuilder::threads`]
-    /// decides how many workers score them, so `.threads(1).sharded(8)`
-    /// runs sequentially. Results are bit-identical to the unsharded
-    /// pipeline at every shard count.
-    pub fn sharded(mut self, shards: usize) -> Self {
-        self.driver = Some(ShardedDriver::new(shards));
+        self.threads = threads;
         self
     }
 
@@ -751,35 +701,28 @@ impl DogmatixBuilder {
     }
 
     /// Assembles the detector, deriving any unset stage from the
-    /// configuration defaults.
+    /// paper defaults.
     pub fn build(self) -> Dogmatix {
         let DogmatixBuilder {
             config,
+            threads,
             mapping,
             selector,
             filter,
             measure,
             classifier,
             clusterer,
-            driver,
             index_backend,
-            edit_kernel,
         } = self;
         let selector = selector.unwrap_or_else(|| Arc::new(config.heuristic.clone()) as Arc<_>);
         let filter = filter.unwrap_or_else(|| {
-            if config.use_filter {
-                Arc::new(ObjectFilter::new_unchecked(
-                    config.theta_tuple,
-                    config.theta_cand,
-                )) as Arc<_>
-            } else {
-                Arc::new(NoFilter) as Arc<_>
-            }
+            Arc::new(ObjectFilter::new_unchecked(
+                config.theta_tuple,
+                config.theta_cand,
+            )) as Arc<_>
         });
         let measure = measure.unwrap_or_else(|| {
-            let mut soft_idf = SoftIdfMeasure::new_unchecked(config.theta_tuple);
-            soft_idf.kernel = edit_kernel;
-            Arc::new(soft_idf) as Arc<_>
+            Arc::new(SoftIdfMeasure::new_unchecked(config.theta_tuple)) as Arc<_>
         });
         let classifier = classifier.unwrap_or_else(|| {
             Arc::new(ThresholdClassifier::new_unchecked(config.theta_cand)) as Arc<_>
@@ -787,13 +730,13 @@ impl DogmatixBuilder {
         let clusterer = clusterer.unwrap_or_else(|| Arc::new(TransitiveClosure) as Arc<_>);
         Dogmatix {
             config,
+            threads,
             mapping,
             selector,
             filter,
             measure,
             classifier,
             clusterer,
-            driver,
             index_backend,
         }
     }
@@ -831,7 +774,7 @@ mod tests {
     #[test]
     fn end_to_end_finds_the_matrix_pair() {
         let (doc, schema, mapping) = movie_setup();
-        let dx = Dogmatix::new(DogmatixConfig::default(), mapping);
+        let dx = Dogmatix::builder().mapping(mapping).build();
         let result = dx.run(&doc, &schema, "MOVIE").unwrap();
         assert_eq!(result.stats.candidates, 4);
         assert_eq!(result.duplicate_pairs.len(), 1);
@@ -848,8 +791,18 @@ mod tests {
 
     #[test]
     fn builder_defaults_match_legacy_constructor() {
+        // The unset stages are the paper's, wired from `DogmatixConfig`'s
+        // defaults: spelling them out changes nothing.
         let (doc, schema, mapping) = movie_setup();
-        let legacy = Dogmatix::new(DogmatixConfig::default(), mapping.clone())
+        let paper = DogmatixConfig::default();
+        let explicit = Dogmatix::builder()
+            .mapping(mapping.clone())
+            .selector(paper.heuristic.clone())
+            .filter(ObjectFilter::new(paper.theta_tuple, paper.theta_cand))
+            .measure(SoftIdfMeasure::new(paper.theta_tuple))
+            .classifier(ThresholdClassifier::new(paper.theta_cand))
+            .clusterer(TransitiveClosure)
+            .build()
             .run(&doc, &schema, "MOVIE")
             .unwrap();
         let built = Dogmatix::builder()
@@ -857,13 +810,22 @@ mod tests {
             .build()
             .run(&doc, &schema, "MOVIE")
             .unwrap();
-        assert_eq!(legacy, built);
+        assert_eq!(explicit, built);
+    }
+
+    #[test]
+    fn worker_count_is_capped_at_the_cores() {
+        let cores = crate::shard::available_cores();
+        let workers = |threads| Dogmatix::builder().threads(threads).build().workers();
+        assert_eq!(workers(usize::MAX), cores);
+        assert_eq!(workers(0), cores);
+        assert_eq!(workers(1), 1);
     }
 
     #[test]
     fn session_caches_od_sets_across_runs() {
         let (doc, schema, mapping) = movie_setup();
-        let dx = Dogmatix::new(DogmatixConfig::default(), mapping);
+        let dx = Dogmatix::builder().mapping(mapping).build();
         let session = dx.session(&doc, &schema, "MOVIE").unwrap();
         let first = dx.detect(&session).unwrap();
         assert_eq!(session.cached_od_sets(), 1);
@@ -979,7 +941,7 @@ mod tests {
     #[test]
     fn filter_prunes_isolated_candidates() {
         let (doc, schema, mapping) = movie_setup();
-        let dx = Dogmatix::new(DogmatixConfig::default(), mapping);
+        let dx = Dogmatix::builder().mapping(mapping).build();
         let result = dx.run(&doc, &schema, "MOVIE").unwrap();
         // Signs and Distant Echo share nothing with anyone.
         assert!(result.stats.pruned_by_filter >= 1);
@@ -991,18 +953,17 @@ mod tests {
     #[test]
     fn filter_and_no_filter_agree_on_duplicates() {
         let (doc, schema, mapping) = movie_setup();
-        let with = Dogmatix::new(DogmatixConfig::default(), mapping.clone())
+        let with = Dogmatix::builder()
+            .mapping(mapping.clone())
+            .build()
             .run(&doc, &schema, "MOVIE")
             .unwrap();
-        let without = Dogmatix::new(
-            DogmatixConfig {
-                use_filter: false,
-                ..DogmatixConfig::default()
-            },
-            mapping,
-        )
-        .run(&doc, &schema, "MOVIE")
-        .unwrap();
+        let without = Dogmatix::builder()
+            .mapping(mapping)
+            .no_filter()
+            .build()
+            .run(&doc, &schema, "MOVIE")
+            .unwrap();
         assert_eq!(with.duplicate_pairs, without.duplicate_pairs);
         assert!(without.stats.pairs_compared >= with.stats.pairs_compared);
     }
@@ -1010,18 +971,17 @@ mod tests {
     #[test]
     fn parallel_matches_sequential() {
         let (doc, schema, mapping) = movie_setup();
-        let seq = Dogmatix::new(DogmatixConfig::default(), mapping.clone())
+        let seq = Dogmatix::builder()
+            .mapping(mapping.clone())
+            .build()
             .run(&doc, &schema, "MOVIE")
             .unwrap();
-        let par = Dogmatix::new(
-            DogmatixConfig {
-                threads: 4,
-                ..DogmatixConfig::default()
-            },
-            mapping,
-        )
-        .run(&doc, &schema, "MOVIE")
-        .unwrap();
+        let par = Dogmatix::builder()
+            .mapping(mapping)
+            .threads(4)
+            .build()
+            .run(&doc, &schema, "MOVIE")
+            .unwrap();
         assert_eq!(seq.duplicate_pairs, par.duplicate_pairs);
         assert_eq!(seq.clusters, par.clusters);
     }
@@ -1030,13 +990,10 @@ mod tests {
     fn invalid_thresholds_rejected() {
         let (doc, schema, mapping) = movie_setup();
         for bad in [-0.1, 1.5, f64::NAN] {
-            let dx = Dogmatix::new(
-                DogmatixConfig {
-                    theta_cand: bad,
-                    ..DogmatixConfig::default()
-                },
-                mapping.clone(),
-            );
+            let dx = Dogmatix::builder()
+                .mapping(mapping.clone())
+                .theta_cand(bad)
+                .build();
             assert!(dx.run(&doc, &schema, "MOVIE").is_err(), "theta={bad}");
         }
     }
@@ -1044,7 +1001,7 @@ mod tests {
     #[test]
     fn output_document_lists_cluster_members() {
         let (doc, schema, mapping) = movie_setup();
-        let dx = Dogmatix::new(DogmatixConfig::default(), mapping);
+        let dx = Dogmatix::builder().mapping(mapping).build();
         let result = dx.run(&doc, &schema, "MOVIE").unwrap();
         let out = result.to_xml(&doc);
         let dups = out.select("/duplicates/dupcluster/duplicate").unwrap();
@@ -1055,7 +1012,7 @@ mod tests {
     #[test]
     fn unknown_type_propagates() {
         let (doc, schema, mapping) = movie_setup();
-        let dx = Dogmatix::new(DogmatixConfig::default(), mapping);
+        let dx = Dogmatix::builder().mapping(mapping).build();
         assert!(matches!(
             dx.run(&doc, &schema, "NOPE"),
             Err(DogmatixError::UnknownType { .. })
@@ -1071,7 +1028,7 @@ mod tests {
         };
         let mut mapping = Mapping::new();
         mapping.add_type("MOVIE", ["/moviedoc/movie"]);
-        let dx = Dogmatix::new(DogmatixConfig::default(), mapping);
+        let dx = Dogmatix::builder().mapping(mapping).build();
         let result = dx.run(&doc, &schema, "MOVIE").unwrap();
         assert_eq!(result.stats.candidates, 0);
         assert!(result.duplicate_pairs.is_empty());

@@ -15,9 +15,8 @@
 //! | 5 classification | [`PairClassifier`] | [`crate::classify::ThresholdClassifier`], [`crate::classify::DualThreshold`] |
 //! | 6 clustering | [`Clusterer`] | [`crate::cluster::TransitiveClosure`] |
 //!
-//! Stages are assembled with [`crate::pipeline::Dogmatix::builder`]; the
-//! legacy `Dogmatix::new(config, mapping)` constructor wires the paper's
-//! default stages and produces identical results.
+//! Stages are assembled with [`crate::pipeline::Dogmatix::builder`],
+//! which wires the paper's default stage for every step left unset.
 
 use crate::classify::Class;
 use crate::od::OdSet;
@@ -114,9 +113,8 @@ impl FilterDecision {
 ///
 /// The resulting pair plan is an *input* to execution, not a
 /// prescription of it: the one pair-plan executor of [`crate::shard`]
-/// scores it on the detector's `threads` workers, in plain chunks or in
-/// the hash shards of a [`crate::shard::ShardedDriver`] — all with
-/// bit-identical results.
+/// scores it on the detector's `threads` workers, with bit-identical
+/// results at every count.
 pub trait ComparisonFilter: fmt::Debug + Send + Sync {
     /// Decides which candidates and pairs survive.
     fn reduce(&self, ods: &OdSet) -> FilterDecision;

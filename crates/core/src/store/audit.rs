@@ -22,7 +22,7 @@
 //!   ([`AuditKind::PostingMismatch`]).
 //!
 //! The auditor is wired in at stage boundaries of the batch pipeline,
-//! the incremental path, and the sharded driver under
+//! the incremental path and probe snapshots under
 //! `cfg(any(debug_assertions, feature = "audit"))` — every debug-mode
 //! differential test run also audits structure, and
 //! `cargo test --features audit` forces the audits into release builds.

@@ -39,7 +39,7 @@ pub fn run(seed: u64, n: usize, experiments: &[usize], ks: &[usize]) -> Vec<Fig5
     for &exp in experiments {
         for &k in ks {
             let heuristic = table4_heuristic(HeuristicExpr::k_closest_descendants(k), exp);
-            let dx = setup::paper_detector(heuristic, mapping.clone());
+            let dx = setup::paper_detector(heuristic, mapping.clone()).build();
             // dxlint: allow(no-panic) — experiment driver over the bundled corpus; abort on bad wiring is intended
             let result = dx.detect(&session).expect("dataset 1 wiring is valid");
             out.push(Fig5Point {

@@ -37,7 +37,7 @@ pub fn run(seed: u64, n: usize, experiments: &[usize], rs: &[usize]) -> Vec<Fig6
     for &exp in experiments {
         for &r in rs {
             let heuristic = table4_heuristic(HeuristicExpr::r_distant_descendants(r), exp);
-            let dx = setup::paper_detector(heuristic, mapping.clone());
+            let dx = setup::paper_detector(heuristic, mapping.clone()).build();
             // dxlint: allow(no-panic) — experiment driver over the bundled corpus; abort on bad wiring is intended
             let result = dx.detect(&session).expect("dataset 2 wiring is valid");
             out.push(Fig6Point {

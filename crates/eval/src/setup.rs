@@ -2,7 +2,7 @@
 
 use dogmatix_core::heuristics::HeuristicExpr;
 use dogmatix_core::mapping::Mapping;
-use dogmatix_core::pipeline::{Dogmatix, DogmatixConfig};
+use dogmatix_core::pipeline::{Dogmatix, DogmatixBuilder};
 use dogmatix_datagen::cd::{CD_CANDIDATE_PATH, CD_XSD};
 use dogmatix_datagen::movie::{movie_description_types, MOVIE_CANDIDATE_PATHS};
 use dogmatix_xml::{Document, Schema};
@@ -59,31 +59,18 @@ pub fn movie_mapping() -> Mapping {
     m
 }
 
-/// Detector configuration with the paper's thresholds and the given
-/// heuristic. The filter stays on (the paper's pipeline always filters);
-/// pairwise comparison uses all cores.
-pub fn paper_config(heuristic: HeuristicExpr) -> DogmatixConfig {
-    DogmatixConfig {
-        theta_tuple: THETA_TUPLE,
-        theta_cand: THETA_CAND,
-        heuristic,
-        use_filter: true,
-        threads: 0,
-    }
-}
-
-/// A ready detector with the paper's thresholds, assembled through the
-/// builder API — the figure sweeps construct one of these per
-/// measurement point and reuse a
+/// The paper's detector for `heuristic` over `mapping`: its thresholds,
+/// the object filter and comparison on all cores. Adjust it further
+/// (say, `.no_filter()` for the Section 6.3 ablation) before `.build()`.
+/// The figure sweeps build one per measurement point and reuse a
 /// [`dogmatix_core::pipeline::DetectionSession`] across all points.
-pub fn paper_detector(heuristic: HeuristicExpr, mapping: Mapping) -> Dogmatix {
+pub fn paper_detector(heuristic: HeuristicExpr, mapping: Mapping) -> DogmatixBuilder {
     Dogmatix::builder()
         .mapping(mapping)
         .heuristic(heuristic)
         .theta_tuple(THETA_TUPLE)
         .theta_cand(THETA_CAND)
         .threads(0)
-        .build()
 }
 
 /// Renders a two-metric sweep as a fixed-width text table; `xs` labels

@@ -40,7 +40,6 @@
 
 use std::cell::RefCell;
 use std::fmt;
-use std::str::FromStr;
 
 use crate::bounds::BoundsScratch;
 use crate::levenshtein;
@@ -139,7 +138,7 @@ impl KernelScratch {
 /// assert_eq!(ScalarKernel.bounded(&mut scratch, "Boston", "New York", 6), None);
 /// ```
 pub trait EditDistanceKernel: fmt::Debug + Send + Sync {
-    /// Kernel name as used by `--edit-kernel` and diagnostics.
+    /// Kernel name as used in diagnostics and bench reports.
     fn name(&self) -> &'static str;
 
     /// Preprocesses `pattern` (`pattern_chars` scalar values) into
@@ -296,19 +295,19 @@ impl EditDistanceKernel for BitParallelKernel {
     }
 }
 
-/// Which [`EditDistanceKernel`] the pipeline should use; selected via
-/// `Dogmatix::builder().edit_kernel(...)` or CLI `--edit-kernel`.
+/// Which [`EditDistanceKernel`] a softIDF measure scores through;
+/// selected per measure with `SoftIdfMeasure::with_kernel`.
 ///
 /// Kernels are exact, so the choice never changes detection results —
-/// only throughput. [`EditKernelChoice::BitParallel`] is the default.
+/// only throughput. [`EditKernelChoice::BitParallel`] is the default;
+/// [`EditKernelChoice::Scalar`] serves as the test oracle and the bench
+/// reference.
 ///
 /// # Examples
 /// ```
 /// use dogmatix_textsim::kernel::EditKernelChoice;
-/// assert_eq!("bitpar".parse(), Ok(EditKernelChoice::BitParallel));
-/// assert_eq!("scalar".parse(), Ok(EditKernelChoice::Scalar));
 /// assert_eq!(EditKernelChoice::default(), EditKernelChoice::BitParallel);
-/// assert!("simd".parse::<EditKernelChoice>().is_err());
+/// assert_eq!(EditKernelChoice::Scalar.kernel().name(), "scalar");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EditKernelChoice {
@@ -328,7 +327,7 @@ impl EditKernelChoice {
         }
     }
 
-    /// The CLI spelling of this choice.
+    /// The short name of this choice, as reports print it.
     pub fn as_str(self) -> &'static str {
         match self {
             EditKernelChoice::Scalar => "scalar",
@@ -340,21 +339,6 @@ impl EditKernelChoice {
 impl fmt::Display for EditKernelChoice {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.as_str())
-    }
-}
-
-impl FromStr for EditKernelChoice {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "scalar" => Ok(EditKernelChoice::Scalar),
-            "bitpar" => Ok(EditKernelChoice::BitParallel),
-            // dxlint: allow(no-hot-alloc) — cold CLI parse-error path, never per-comparison
-            other => Err(format!(
-                "edit kernel must be 'scalar' or 'bitpar', got '{other}'"
-            )),
-        }
     }
 }
 
@@ -439,11 +423,9 @@ mod tests {
     #[test]
     fn choice_round_trips_and_selects() {
         for choice in [EditKernelChoice::Scalar, EditKernelChoice::BitParallel] {
-            assert_eq!(choice.as_str().parse::<EditKernelChoice>(), Ok(choice));
             assert_eq!(choice.kernel().name(), choice.as_str());
             assert_eq!(choice.to_string(), choice.as_str());
         }
-        assert!("".parse::<EditKernelChoice>().is_err());
     }
 
     #[test]

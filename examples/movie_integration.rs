@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // scenario (see EXPERIMENTS.md).
     for r in 1..=4 {
         let heuristic = table4_heuristic(HeuristicExpr::r_distant_descendants(r), 2);
-        let dx = setup::paper_detector(heuristic, mapping.clone());
+        let dx = setup::paper_detector(heuristic, mapping.clone()).build();
         let result = dx.detect(&session)?;
         let m = pair_metrics(&result.duplicate_pairs, &gold);
         println!(
@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Show a cross-source match.
     let heuristic = table4_heuristic(HeuristicExpr::r_distant_descendants(3), 2);
-    let dx = setup::paper_detector(heuristic, mapping);
+    let dx = setup::paper_detector(heuristic, mapping).build();
     let result = dx.detect(&session)?;
     // Show the most confident detection.
     let best = result

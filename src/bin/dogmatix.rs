@@ -13,12 +13,8 @@
 //!   --theta-tuple <f>      similarity threshold for values   (default 0.15)
 //!   --theta-cand <f>       duplicate threshold               (default 0.55)
 //!   --threads <N>          comparison worker threads; 0 = all cores
-//!                          (default 0); the only setting that decides
-//!                          how many threads score pairs
-//!   --edit-kernel <k>      edit-distance kernel for the comparison
-//!                          phase: 'bitpar' (Myers' bit-parallel
-//!                          algorithm, default) or 'scalar' (banded DP);
-//!                          kernels are exact, so results are identical
+//!                          (default 0), and larger counts are capped at
+//!                          the cores; results are identical at any count
 //!   --blocking <qgram|lsh> replace the object filter with a blocking
 //!                          stage: a positional q-gram index (q = 2,
 //!                          provable superset at θ_tuple) or banded
@@ -35,11 +31,6 @@
 //!   --mem-budget <bytes>   buffer-pool memory budget for --index-load
 //!                          (default 67108864 = 64 MiB); peak pool
 //!                          residency never exceeds it
-//!   --shards <N>           cut the pair plan into N hash shards plus a
-//!                          chunked cross-shard residual; 0 = one shard
-//!                          per core. Only the units change: --threads
-//!                          still sets the workers (--threads 1 runs
-//!                          sequentially), and results are identical
 //!   --no-filter            disable comparison reduction
 //!   --fuse                 also write a fused (deduplicated) document
 //!   --output <file>        write the dup-cluster XML here (default stdout)
@@ -81,7 +72,6 @@ use dogmatix_repro::core::heuristics::{table4_heuristic, HeuristicExpr};
 use dogmatix_repro::core::incremental::DocumentDelta;
 use dogmatix_repro::core::pipeline::{DetectionResult, Dogmatix};
 use dogmatix_repro::core::probe::{ProbeBlocking, ProbeScratch, ProbeSnapshot};
-use dogmatix_repro::core::sim::EditKernelChoice;
 use dogmatix_repro::core::Mapping;
 use dogmatix_repro::xml::{Document, Schema};
 use std::process::ExitCode;
@@ -97,9 +87,7 @@ struct Options {
     theta_tuple: f64,
     theta_cand: f64,
     threads: usize,
-    edit_kernel: EditKernelChoice,
     blocking: Option<Blocking>,
-    shards: Option<usize>,
     index_save: Option<String>,
     index_load: Option<String>,
     mem_budget: Option<usize>,
@@ -145,9 +133,7 @@ const KNOWN_FLAGS: &[&str] = &[
     "--theta-tuple",
     "--theta-cand",
     "--threads",
-    "--edit-kernel",
     "--blocking",
-    "--shards",
     "--index-save",
     "--index-load",
     "--mem-budget",
@@ -189,9 +175,7 @@ fn parse_args() -> Result<Options, String> {
         theta_tuple: 0.15,
         theta_cand: 0.55,
         threads: 0,
-        edit_kernel: EditKernelChoice::default(),
         blocking: None,
-        shards: None,
         index_save: None,
         index_load: None,
         mem_budget: None,
@@ -234,15 +218,7 @@ fn parse_args() -> Result<Options, String> {
                     .parse()
                     .map_err(|_| "--threads must be a non-negative integer".to_string())?
             }
-            "--edit-kernel" => opts.edit_kernel = value("--edit-kernel")?.parse()?,
             "--blocking" => opts.blocking = Some(value("--blocking")?.parse()?),
-            "--shards" => {
-                opts.shards = Some(
-                    value("--shards")?
-                        .parse()
-                        .map_err(|_| "--shards must be a non-negative integer".to_string())?,
-                )
-            }
             "--index-save" => opts.index_save = Some(value("--index-save")?),
             "--index-load" => opts.index_load = Some(value("--index-load")?),
             "--mem-budget" => {
@@ -301,9 +277,8 @@ fn parse_args() -> Result<Options, String> {
 const HELP: &str = "usage: dogmatix <input.xml> --type <NAME> \
 [--mapping m.txt | --candidates /path] [--schema s.xsd] \
 [--heuristic rd:<r>|ra:<r>|kc:<k>|auto] [--exp 1..8] \
-[--theta-tuple f] [--theta-cand f] [--threads N] \
-[--edit-kernel scalar|bitpar] [--blocking qgram|lsh] \
-[--shards N] [--no-filter] [--fuse] \
+[--theta-tuple f] [--theta-cand f] [--threads N (0 = all cores, capped at them)] \
+[--blocking qgram|lsh] [--no-filter] [--fuse] \
 [--index-save f | --index-load f [--mem-budget bytes]] \
 [--output out.xml] [--deltas script.txt] \
 [--probe '<xml>' [--probe-k N]] [--emit-queries]";
@@ -381,8 +356,7 @@ fn run(opts: Options) -> Result<(), String> {
         .heuristic(heuristic)
         .theta_tuple(opts.theta_tuple)
         .theta_cand(opts.theta_cand)
-        .threads(opts.threads)
-        .edit_kernel(opts.edit_kernel);
+        .threads(opts.threads);
     if !opts.use_filter {
         builder = builder.no_filter();
     }
@@ -390,9 +364,6 @@ fn run(opts: Options) -> Result<(), String> {
         Some(Blocking::QGram) => builder = builder.filter(QGramBlocking::new(2, opts.theta_tuple)),
         Some(Blocking::Lsh) => builder = builder.filter(MinHashLshBlocking::new(48, 2)),
         None => {}
-    }
-    if let Some(shards) = opts.shards {
-        builder = builder.sharded(shards);
     }
     if let Some(path) = &opts.index_save {
         builder = builder.index_backend(PagedBackend::save(path));

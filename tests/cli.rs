@@ -181,7 +181,7 @@ fn blocking_and_shards_flags_detect_the_same_duplicates() {
         let out = dogmatix()
             .arg(&paths.input)
             .args(["--type", "MOVIE", "--blocking", blocking])
-            .args(["--shards", "4"])
+            .args(["--threads", "2"])
             .args(["--mapping", paths.mapping.to_str().unwrap()])
             .args(["--output", paths.output.to_str().unwrap()])
             .output()
@@ -217,23 +217,6 @@ fn blocking_flag_rejects_unknown_strategies() {
 }
 
 #[test]
-fn shards_flag_rejects_non_numbers() {
-    let paths = write_sample();
-    let out = dogmatix()
-        .arg(&paths.input)
-        .args(["--type", "MOVIE", "--shards", "lots"])
-        .output()
-        .expect("binary runs");
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("--shards must be a non-negative integer"),
-        "{stderr}"
-    );
-    let _ = std::fs::remove_dir_all(&paths.dir);
-}
-
-#[test]
 fn unknown_flag_is_named_and_corrected() {
     let paths = write_sample();
     let out = dogmatix()
@@ -245,6 +228,21 @@ fn unknown_flag_is_named_and_corrected() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown flag '--thread'"), "{stderr}");
     assert!(stderr.contains("did you mean '--threads'?"), "{stderr}");
+    // Retired flags: old scripts fail loudly and name the flag.
+    for (name, value) in [("shards", "4"), ("edit-kernel", "scalar")] {
+        let flag = format!("--{name}");
+        let out = dogmatix()
+            .arg(&paths.input)
+            .args(["--type", "MOVIE", &flag, value])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag '{flag}'")),
+            "{stderr}"
+        );
+    }
     let _ = std::fs::remove_dir_all(&paths.dir);
 }
 

@@ -1,5 +1,5 @@
 //! Helpers shared by the integration suites (`properties.rs`,
-//! `incremental.rs`, `sharding.rs`, `similar_graph.rs`): the
+//! `incremental.rs`, `parallel.rs`, `similar_graph.rs`): the
 //! `PROPTEST_CASES` override, the miniature record corpus the
 //! differential properties run on, and its dirty-duplicate variant.
 //!

@@ -1,12 +1,16 @@
-//! Equivalence suite: the builder API must reproduce the exact
-//! `DetectionResult` of the legacy `DogmatixConfig` path — same pairs,
-//! same similarities, same filter values, same clusters, same stats —
-//! on both evaluation corpora and at every thread count, with and
-//! without the object filter, through `run` and through a reused
-//! `DetectionSession`.
+//! Equivalence suite: the builder's derived default stages must
+//! reproduce the exact `DetectionResult` of the paper's stages wired by
+//! hand — same pairs, same similarities, same filter values, same
+//! clusters, same stats — on both evaluation corpora and at every thread
+//! count, with and without the object filter, through `run` and through
+//! a reused `DetectionSession`.
 
+use dogmatix_repro::core::classify::ThresholdClassifier;
+use dogmatix_repro::core::cluster::TransitiveClosure;
+use dogmatix_repro::core::filter::{NoFilter, ObjectFilter};
 use dogmatix_repro::core::heuristics::{table4_heuristic, HeuristicExpr};
-use dogmatix_repro::core::pipeline::{DetectionResult, DetectionSession, Dogmatix, DogmatixConfig};
+use dogmatix_repro::core::pipeline::{DetectionResult, DetectionSession, Dogmatix};
+use dogmatix_repro::core::sim::SoftIdfMeasure;
 use dogmatix_repro::core::Mapping;
 use dogmatix_repro::datagen::datasets::{dataset1_sized, dataset2_sized};
 use dogmatix_repro::eval::setup;
@@ -14,9 +18,9 @@ use dogmatix_repro::xml::{Document, Schema};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 0];
 
-/// Runs the legacy constructor and the builder (via `run`, via a fresh
-/// session, and via a reused session) and asserts all four results are
-/// identical.
+/// Runs the hand-wired paper stages and the builder's defaults (via
+/// `run`, via a fresh session, and via a reused session) and asserts all
+/// four results are identical.
 fn assert_equivalent(
     doc: &Document,
     schema: &Schema,
@@ -26,16 +30,22 @@ fn assert_equivalent(
     use_filter: bool,
     threads: usize,
 ) -> DetectionResult {
-    let config = DogmatixConfig {
-        theta_tuple: setup::THETA_TUPLE,
-        theta_cand: setup::THETA_CAND,
-        heuristic: heuristic.clone(),
-        use_filter,
-        threads,
+    let explicit = Dogmatix::builder()
+        .mapping(mapping.clone())
+        .selector(heuristic.clone())
+        .measure(SoftIdfMeasure::new(setup::THETA_TUPLE))
+        .classifier(ThresholdClassifier::new(setup::THETA_CAND))
+        .clusterer(TransitiveClosure)
+        .threads(threads);
+    let explicit = if use_filter {
+        explicit.filter(ObjectFilter::new(setup::THETA_TUPLE, setup::THETA_CAND))
+    } else {
+        explicit.filter(NoFilter)
     };
-    let legacy = Dogmatix::new(config, mapping.clone())
+    let explicit = explicit
+        .build()
         .run(doc, schema, rw_type)
-        .expect("legacy path runs");
+        .expect("hand-wired stages run");
 
     let mut builder = Dogmatix::builder()
         .mapping(mapping.clone())
@@ -49,22 +59,25 @@ fn assert_equivalent(
     let built = builder.build();
 
     let via_run = built.run(doc, schema, rw_type).expect("builder run");
-    assert_eq!(legacy, via_run, "builder.run diverges (threads={threads})");
+    assert_eq!(
+        explicit, via_run,
+        "builder.run diverges (threads={threads})"
+    );
 
     let session = DetectionSession::new(doc, schema, mapping, rw_type).expect("session opens");
     let via_session = built.detect(&session).expect("session detect");
     assert_eq!(
-        legacy, via_session,
+        explicit, via_session,
         "session detect diverges (threads={threads})"
     );
     let via_cached_session = built.detect(&session).expect("cached session detect");
     assert_eq!(
-        legacy, via_cached_session,
+        explicit, via_cached_session,
         "cached-OD rerun diverges (threads={threads})"
     );
     assert_eq!(session.cached_od_sets(), 1, "one selection, one OD set");
 
-    legacy
+    explicit
 }
 
 #[test]
@@ -142,11 +155,6 @@ fn movie_dataset_equivalence_all_thread_counts() {
 fn explicit_default_stages_equal_derived_defaults() {
     // Spelling out the paper's default stages explicitly must be the
     // same as letting the builder derive them from the thresholds.
-    use dogmatix_repro::core::classify::ThresholdClassifier;
-    use dogmatix_repro::core::cluster::TransitiveClosure;
-    use dogmatix_repro::core::filter::ObjectFilter;
-    use dogmatix_repro::core::sim::SoftIdfMeasure;
-
     let (doc, _) = dataset1_sized(11, 40);
     let schema = setup::cd_schema();
     let mapping = setup::cd_mapping();
@@ -184,7 +192,7 @@ fn sweep_over_one_session_matches_independent_runs() {
     for exp in [1, 2, 8] {
         for k in [3, 6] {
             let heuristic = table4_heuristic(HeuristicExpr::k_closest_descendants(k), exp);
-            let dx = setup::paper_detector(heuristic, mapping.clone());
+            let dx = setup::paper_detector(heuristic, mapping.clone()).build();
             let swept = dx.detect(&session).unwrap();
             let fresh = dx.run(&doc, &schema, setup::CD_TYPE).unwrap();
             assert_eq!(swept, fresh, "exp={exp} k={k}");
@@ -199,8 +207,8 @@ fn sweep_over_one_session_matches_independent_runs() {
 /// The snapshot-backend path: a run that persists its term index and a
 /// run warm-started from that snapshot (under the CLI's default 64 MiB
 /// pool budget, where every page stays resident) must both equal the
-/// legacy in-memory result exactly — on both corpora, sequential and
-/// sharded.
+/// in-memory result exactly — on both corpora, on one worker and on
+/// several.
 #[test]
 fn snapshot_warm_start_equivalence_on_both_corpora() {
     use dogmatix_repro::core::backend::paged::PagedBackend;
@@ -231,34 +239,32 @@ fn snapshot_warm_start_equivalence_on_both_corpora() {
             "dogmatix-equivalence-{}-{tag}.index",
             std::process::id()
         ));
-        let build = |backend: Option<PagedBackend>, shards: Option<usize>| {
+        let build = |backend: Option<PagedBackend>, threads: usize| {
             let mut b = Dogmatix::builder()
                 .mapping(mapping.clone())
                 .heuristic(heuristic.clone())
                 .theta_tuple(setup::THETA_TUPLE)
-                .theta_cand(setup::THETA_CAND);
+                .theta_cand(setup::THETA_CAND)
+                .threads(threads);
             if let Some(backend) = backend {
                 b = b.index_backend(backend);
             }
-            if let Some(shards) = shards {
-                b = b.sharded(shards);
-            }
             b.build().run(&doc, &schema, rw_type).expect("run succeeds")
         };
-        let reference = build(None, None);
+        let reference = build(None, 1);
         assert!(
             !reference.duplicate_pairs.is_empty(),
             "{tag} has duplicates"
         );
-        let saved = build(Some(PagedBackend::save(&path)), None);
+        let saved = build(Some(PagedBackend::save(&path)), 1);
         assert_eq!(reference, saved, "{tag}: save path diverged");
-        let warm = build(Some(PagedBackend::open(&path, 64 << 20)), None);
+        let warm = build(Some(PagedBackend::open(&path, 64 << 20)), 1);
         assert_eq!(reference, warm, "{tag}: warm start diverged");
-        for shards in [2usize, 0] {
-            let sharded_warm = build(Some(PagedBackend::open(&path, 64 << 20)), Some(shards));
+        for threads in [2usize, 0] {
+            let pooled_warm = build(Some(PagedBackend::open(&path, 64 << 20)), threads);
             assert_eq!(
-                reference, sharded_warm,
-                "{tag}: sharded ({shards}) warm start diverged"
+                reference, pooled_warm,
+                "{tag}: warm start on {threads} threads diverged"
             );
         }
         let _ = std::fs::remove_file(&path);
@@ -278,8 +284,8 @@ fn every_public_stage_impl_is_exercised() {
     use dogmatix_repro::core::baseline::{
         DelphiMeasure, OverlapMeasure, TreeEditMeasure, UnweightedMeasure, VectorSpaceMeasure,
     };
-    use dogmatix_repro::core::classify::{DualThreshold, ThresholdClassifier};
-    use dogmatix_repro::core::filter::{MinHashLshBlocking, NoFilter, QGramBlocking};
+    use dogmatix_repro::core::classify::DualThreshold;
+    use dogmatix_repro::core::filter::{MinHashLshBlocking, QGramBlocking};
     use dogmatix_repro::core::neighborhood::{SortedNeighborhoodFilter, TopKBlocking};
     use dogmatix_repro::core::stage::{ManualSelection, SimilarityMeasure};
     use std::collections::BTreeSet;
@@ -384,14 +390,14 @@ fn every_public_stage_impl_is_exercised() {
     assert!(manual.stats.pairs_compared > 0);
 }
 
-/// The edit-distance kernels are exact, so `--edit-kernel scalar` and
-/// `--edit-kernel bitpar` must produce bit-identical `DetectionResult`s
-/// — same pairs, same similarity values — on both corpora, sequential
-/// and sharded, whether selected through the builder or through an
-/// explicit `SoftIdfMeasure::with_kernel` stage.
+/// The edit-distance kernels are exact, so a `SoftIdfMeasure` over the
+/// scalar DP and one over the bit-parallel kernel must produce
+/// bit-identical `DetectionResult`s — same pairs, same similarity
+/// values — on both corpora, on one worker and on several, and equal to
+/// the builder's default measure.
 #[test]
 fn edit_kernel_equivalence_on_both_corpora() {
-    use dogmatix_repro::core::sim::{EditKernelChoice, SoftIdfMeasure};
+    use dogmatix_repro::core::sim::EditKernelChoice;
 
     let cd = {
         let (doc, _) = dataset1_sized(21, 60);
@@ -415,48 +421,40 @@ fn edit_kernel_equivalence_on_both_corpora() {
         )
     };
     for (tag, (doc, schema, mapping, heuristic, rw_type)) in [("cd", cd), ("movie", movie)] {
-        let build = |choice: EditKernelChoice, shards: Option<usize>| {
-            let mut b = Dogmatix::builder()
+        let builder = || {
+            Dogmatix::builder()
                 .mapping(mapping.clone())
                 .heuristic(heuristic.clone())
                 .theta_tuple(setup::THETA_TUPLE)
                 .theta_cand(setup::THETA_CAND)
-                .edit_kernel(choice);
-            if let Some(shards) = shards {
-                b = b.sharded(shards);
-            }
-            b.build().run(&doc, &schema, rw_type).expect("run succeeds")
         };
-        let reference = build(EditKernelChoice::BitParallel, None);
+        let reference = builder()
+            .build()
+            .run(&doc, &schema, rw_type)
+            .expect("run succeeds");
         assert!(
             !reference.duplicate_pairs.is_empty(),
             "{tag} has duplicates"
         );
         for choice in [EditKernelChoice::Scalar, EditKernelChoice::BitParallel] {
-            for shards in [None, Some(2usize), Some(0)] {
-                let result = build(choice, shards);
+            for threads in [1usize, 2, 0] {
+                let result = builder()
+                    .measure(SoftIdfMeasure::with_kernel(setup::THETA_TUPLE, choice))
+                    .threads(threads)
+                    .build()
+                    .run(&doc, &schema, rw_type)
+                    .expect("run succeeds");
                 assert_eq!(
                     reference, result,
-                    "{tag}: kernel {choice} (shards {shards:?}) diverged"
+                    "{tag}: kernel {choice} on {threads} threads diverged"
                 );
             }
-            // The explicit-measure spelling of the same selection.
-            let explicit = Dogmatix::builder()
-                .mapping(mapping.clone())
-                .heuristic(heuristic.clone())
-                .theta_tuple(setup::THETA_TUPLE)
-                .theta_cand(setup::THETA_CAND)
-                .measure(SoftIdfMeasure::with_kernel(setup::THETA_TUPLE, choice))
-                .build()
-                .run(&doc, &schema, rw_type)
-                .expect("run succeeds");
-            assert_eq!(reference, explicit, "{tag}: explicit {choice} diverged");
         }
     }
 }
 
 /// The paged (v2) backend is an out-of-core drop-in: on both corpora,
-/// sequential and sharded, its results are bit-identical to the
+/// on one worker and on several, its results are bit-identical to the
 /// in-memory build while its buffer pool provably stays under a budget
 /// smaller than the snapshot it serves.
 #[test]
@@ -491,24 +489,22 @@ fn paged_backend_equivalence_on_both_corpora() {
             "dogmatix-equivalence-paged-{}-{tag}.dxts2",
             std::process::id()
         ));
-        let build = |backend: Option<Arc<PagedBackend>>, shards: Option<usize>| {
+        let build = |backend: Option<Arc<PagedBackend>>, threads: usize| {
             let mut b = Dogmatix::builder()
                 .mapping(mapping.clone())
                 .heuristic(heuristic.clone())
                 .theta_tuple(setup::THETA_TUPLE)
-                .theta_cand(setup::THETA_CAND);
+                .theta_cand(setup::THETA_CAND)
+                .threads(threads);
             if let Some(backend) = backend {
                 b = b.index_backend(backend);
             }
-            if let Some(shards) = shards {
-                b = b.sharded(shards);
-            }
             b.build().run(&doc, &schema, rw_type).expect("run succeeds")
         };
-        let reference = build(None, None);
+        let reference = build(None, 1);
         let saved = build(
             Some(Arc::new(PagedBackend::save(&path).with_page_size(512))),
-            None,
+            1,
         );
         assert_eq!(reference, saved, "{tag}: paged save path diverged");
         let snapshot_len = std::fs::metadata(&path).expect("snapshot written").len();
@@ -517,12 +513,12 @@ fn paged_backend_equivalence_on_both_corpora() {
             "{tag}: snapshot ({snapshot_len} B) must exceed the {BUDGET} B budget \
              for the test to exercise eviction"
         );
-        for shards in [None, Some(2usize), Some(0)] {
+        for threads in [1usize, 2, 0] {
             let backend = Arc::new(PagedBackend::open(&path, BUDGET));
-            let warm = build(Some(backend.clone()), shards);
+            let warm = build(Some(backend.clone()), threads);
             assert_eq!(
                 reference, warm,
-                "{tag}: paged warm start (shards {shards:?}) diverged"
+                "{tag}: paged warm start on {threads} threads diverged"
             );
             let stats = backend.last_stats().expect("load records pool stats");
             assert!(

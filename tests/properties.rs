@@ -6,7 +6,7 @@ mod common;
 use common::{build_doc, dirty_corpus_strategy, record_strategy, MiniRecord};
 use dogmatix_repro::core::filter::QGramBlocking;
 use dogmatix_repro::core::heuristics::HeuristicExpr;
-use dogmatix_repro::core::pipeline::{Dogmatix, DogmatixConfig};
+use dogmatix_repro::core::pipeline::Dogmatix;
 use dogmatix_repro::core::sim::{DistCache, SimEngine};
 use dogmatix_repro::core::Mapping;
 use dogmatix_repro::xml::{Document, Schema};
@@ -25,13 +25,15 @@ fn detect(
     let schema = Schema::infer(&doc).expect("non-empty docs infer");
     let mut mapping = Mapping::new();
     mapping.add_type("ITEM", ["/db/item"]);
-    let config = DogmatixConfig {
-        heuristic: HeuristicExpr::r_distant_descendants(2),
-        theta_tuple,
-        use_filter,
-        ..DogmatixConfig::default()
-    };
-    let result = Dogmatix::new(config, mapping)
+    let mut builder = Dogmatix::builder()
+        .mapping(mapping)
+        .heuristic(HeuristicExpr::r_distant_descendants(2))
+        .theta_tuple(theta_tuple);
+    if !use_filter {
+        builder = builder.no_filter();
+    }
+    let result = builder
+        .build()
         .run(&doc, &schema, "ITEM")
         .expect("pipeline runs on any well-formed corpus");
     (doc, result)

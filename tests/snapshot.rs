@@ -3,7 +3,7 @@
 //!
 //! * **round trip** — build store → save → load → detection output
 //!   bit-identical to the in-memory build, on the seeded CD and movie
-//!   corpora, sequential and sharded;
+//!   corpora, on one worker and on several;
 //! * **robustness** — corrupted, truncated, padded and wrong-version
 //!   snapshot files are rejected with a `DogmatixError::Snapshot` and
 //!   never panic, for *every* byte position (flip), prefix length
@@ -63,23 +63,21 @@ fn movie_corpus() -> Corpus {
 /// A roomy pool budget: every page of the test snapshots fits.
 const ROOMY: usize = 1 << 20;
 
-fn detector(c: &Corpus, backend: Option<PagedBackend>, shards: Option<usize>) -> Dogmatix {
+fn detector(c: &Corpus, backend: Option<PagedBackend>, threads: usize) -> Dogmatix {
     let mut b = Dogmatix::builder()
         .mapping(c.mapping.clone())
         .heuristic(c.heuristic.clone())
         .theta_tuple(setup::THETA_TUPLE)
-        .theta_cand(setup::THETA_CAND);
+        .theta_cand(setup::THETA_CAND)
+        .threads(threads);
     if let Some(backend) = backend {
         b = b.index_backend(backend);
-    }
-    if let Some(shards) = shards {
-        b = b.sharded(shards);
     }
     b.build()
 }
 
-fn run(c: &Corpus, backend: Option<PagedBackend>, shards: Option<usize>) -> DetectionResult {
-    detector(c, backend, shards)
+fn run(c: &Corpus, backend: Option<PagedBackend>, threads: usize) -> DetectionResult {
+    detector(c, backend, threads)
         .run(&c.doc, &c.schema, c.rw_type)
         .expect("detection runs")
 }
@@ -88,25 +86,21 @@ fn run(c: &Corpus, backend: Option<PagedBackend>, shards: Option<usize>) -> Dete
 fn cd_and_movie_snapshot_roundtrips_are_bit_identical() {
     for (tag, corpus) in [("cd", cd_corpus()), ("movie", movie_corpus())] {
         let path = temp_path(tag);
-        let in_memory = run(&corpus, None, None);
-        let saved = run(&corpus, Some(PagedBackend::save(&path)), None);
+        let in_memory = run(&corpus, None, 1);
+        let saved = run(&corpus, Some(PagedBackend::save(&path)), 1);
         assert_eq!(in_memory, saved, "{tag}: save run must not change results");
-        let loaded = run(&corpus, Some(PagedBackend::open(&path, ROOMY)), None);
+        let loaded = run(&corpus, Some(PagedBackend::open(&path, ROOMY)), 1);
         assert_eq!(in_memory, loaded, "{tag}: warm start must be bit-identical");
         assert!(
             !in_memory.duplicate_pairs.is_empty(),
             "{tag}: corpus contains duplicates"
         );
-        // The snapshot path composes with sharded execution.
-        for shards in [1usize, 2, 8, 0] {
-            let sharded = run(
-                &corpus,
-                Some(PagedBackend::open(&path, ROOMY)),
-                Some(shards),
-            );
+        // The snapshot path composes with the worker pool.
+        for threads in [1usize, 2, 0] {
+            let pooled = run(&corpus, Some(PagedBackend::open(&path, ROOMY)), threads);
             assert_eq!(
-                in_memory, sharded,
-                "{tag}: snapshot + {shards} shards diverged"
+                in_memory, pooled,
+                "{tag}: snapshot on {threads} threads diverged"
             );
         }
         let _ = std::fs::remove_file(&path);
@@ -119,12 +113,12 @@ fn snapshot_reload_across_detector_instances_matches() {
     // through a brand-new detector + session over a re-parsed document.
     let corpus = cd_corpus();
     let path = temp_path("reparse");
-    let cold = run(&corpus, Some(PagedBackend::save(&path)), None);
+    let cold = run(&corpus, Some(PagedBackend::save(&path)), 1);
     let reparsed = Corpus {
         doc: Document::parse(&corpus.doc.to_xml()).expect("roundtrip parse"),
         ..cd_corpus()
     };
-    let warm = run(&reparsed, Some(PagedBackend::open(&path, ROOMY)), None);
+    let warm = run(&reparsed, Some(PagedBackend::open(&path, ROOMY)), 1);
     assert_eq!(cold.duplicate_pairs, warm.duplicate_pairs);
     assert_eq!(cold.clusters, warm.clusters);
     assert_eq!(cold.f_values, warm.f_values);
@@ -142,7 +136,7 @@ fn wrong_version_snapshots_are_rejected() {
         mutated[4..8].copy_from_slice(&version.to_le_bytes());
         let path = temp_path("wrong-version");
         std::fs::write(&path, &mutated).expect("write");
-        let err = detector(&corpus, Some(PagedBackend::open(&path, ROOMY)), None)
+        let err = detector(&corpus, Some(PagedBackend::open(&path, ROOMY)), 1)
             .run(&corpus.doc, &corpus.schema, corpus.rw_type)
             .unwrap_err();
         let _ = std::fs::remove_file(&path);
@@ -159,13 +153,13 @@ fn snapshot_against_a_mutated_corpus_is_rejected() {
     // the candidate count no longer matches.
     let corpus = cd_corpus();
     let path = temp_path("stale-corpus");
-    let _ = run(&corpus, Some(PagedBackend::save(&path)), None);
+    let _ = run(&corpus, Some(PagedBackend::save(&path)), 1);
     let (bigger_doc, _) = dataset1_sized(42, 60);
     let bigger = Corpus {
         doc: bigger_doc,
         ..cd_corpus()
     };
-    let err = detector(&bigger, Some(PagedBackend::open(&path, ROOMY)), None)
+    let err = detector(&bigger, Some(PagedBackend::open(&path, ROOMY)), 1)
         .run(&bigger.doc, &bigger.schema, bigger.rw_type)
         .unwrap_err();
     let _ = std::fs::remove_file(&path);
@@ -181,7 +175,7 @@ fn snapshot_against_edited_content_same_shape_is_rejected() {
     // untouched — only the document-content fingerprint catches it.
     let corpus = cd_corpus();
     let path = temp_path("edited-content");
-    let _ = run(&corpus, Some(PagedBackend::save(&path)), None);
+    let _ = run(&corpus, Some(PagedBackend::save(&path)), 1);
     let xml = corpus.doc.to_xml();
     let needle = xml
         .match_indices("<artist>")
@@ -200,7 +194,7 @@ fn snapshot_against_edited_content_same_shape_is_rejected() {
         doc: Document::parse(&edited).expect("edited corpus parses"),
         ..cd_corpus()
     };
-    let err = detector(&edited_corpus, Some(PagedBackend::open(&path, ROOMY)), None)
+    let err = detector(&edited_corpus, Some(PagedBackend::open(&path, ROOMY)), 1)
         .run(
             &edited_corpus.doc,
             &edited_corpus.schema,
@@ -230,7 +224,7 @@ fn reference_paged_snapshot() -> (Corpus, Vec<u8>) {
     detector(
         &corpus,
         Some(PagedBackend::save(&path).with_page_size(512)),
-        None,
+        1,
     )
     .run(&corpus.doc, &corpus.schema, corpus.rw_type)
     .expect("paged save run");
@@ -257,7 +251,7 @@ fn assert_paged_mutation_handled(
     ));
     std::fs::write(&path, mutated).expect("write mutated paged snapshot");
     for (reader, budget) in [("roomy pool", ROOMY), ("two-frame pool", 1024)] {
-        let outcome = detector(corpus, Some(PagedBackend::open(&path, budget)), None).run(
+        let outcome = detector(corpus, Some(PagedBackend::open(&path, budget)), 1).run(
             &corpus.doc,
             &corpus.schema,
             corpus.rw_type,
@@ -282,7 +276,7 @@ proptest! {
     #[test]
     fn corrupted_paged_snapshots_never_panic(position in 0usize..1_000_000, byte in 0u8..=255) {
         let (corpus, bytes) = reference_paged_snapshot();
-        let original = run(&corpus, None, None);
+        let original = run(&corpus, None, 1);
         let mut mutated = bytes.clone();
         let pos = position % mutated.len();
         mutated[pos] = byte;
@@ -293,7 +287,7 @@ proptest! {
     fn truncated_paged_snapshots_never_panic(cut in 0usize..1_000_000) {
         let (corpus, bytes) = reference_paged_snapshot();
         let cut = cut % bytes.len();
-        let original = run(&corpus, None, None);
+        let original = run(&corpus, None, 1);
         assert_paged_mutation_handled(&corpus, &original, &bytes[..cut], "paged truncation");
     }
 
@@ -302,7 +296,7 @@ proptest! {
         // Appended garbage changes no described byte — only the exact
         // file-length check can catch it.
         let (corpus, bytes) = reference_paged_snapshot();
-        let original = run(&corpus, None, None);
+        let original = run(&corpus, None, 1);
         let mut padded = bytes.clone();
         padded.resize(bytes.len() + extra, 0xAB);
         assert_paged_mutation_handled(&corpus, &original, &padded, "paged padding");
@@ -323,7 +317,7 @@ fn every_data_page_is_checksum_protected() {
         let mut mutated = bytes.clone();
         mutated[header_len + page * page_size] ^= 0x01;
         std::fs::write(&path, &mutated).expect("write");
-        let err = detector(&corpus, Some(PagedBackend::open(&path, ROOMY)), None)
+        let err = detector(&corpus, Some(PagedBackend::open(&path, ROOMY)), 1)
             .run(&corpus.doc, &corpus.schema, corpus.rw_type)
             .unwrap_err();
         let msg = err.to_string();
@@ -341,16 +335,16 @@ fn failed_saves_leave_the_previous_snapshot_intact() {
     // the temp-file name) must not clobber the previously installed
     // snapshot.
     let corpus = cd_corpus();
-    let original = run(&corpus, None, None);
+    let original = run(&corpus, None, 1);
     let path = temp_path("atomic");
-    run(&corpus, Some(PagedBackend::save(&path)), None);
+    run(&corpus, Some(PagedBackend::save(&path)), 1);
     let good = std::fs::read(&path).expect("snapshot installed");
 
     let mut tmp = path.as_os_str().to_os_string();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
     std::fs::create_dir_all(&tmp).expect("squat temp name");
-    let err = detector(&corpus, Some(PagedBackend::save(&path)), None)
+    let err = detector(&corpus, Some(PagedBackend::save(&path)), 1)
         .run(&corpus.doc, &corpus.schema, corpus.rw_type)
         .unwrap_err();
     assert!(matches!(err, DogmatixError::Snapshot { .. }), "{err}");
@@ -362,7 +356,7 @@ fn failed_saves_leave_the_previous_snapshot_intact() {
     std::fs::remove_dir_all(&tmp).expect("clear squat");
 
     // And the surviving file still warm-starts bit-identically.
-    let warm = run(&corpus, Some(PagedBackend::open(&path, ROOMY)), None);
+    let warm = run(&corpus, Some(PagedBackend::open(&path, ROOMY)), 1);
     assert_eq!(original, warm, "surviving snapshot diverged");
     assert!(!tmp.exists(), "temp artefact left behind");
     let _ = std::fs::remove_file(&path);
