@@ -65,9 +65,8 @@ echo "    stay within the recorded throughput baseline)"
 cargo bench -q -p dogmatix_bench --bench wal >/dev/null
 test -s BENCH_wal.json || { echo "BENCH_wal.json was not written"; exit 1; }
 
-echo "==> paged-snapshot scaling gate (a v2 snapshot several times the pool"
-echo "    budget must load bit-identically with peak residency <= budget, and"
-echo "    budgeted point reads must stay within the recorded baseline)"
+echo "==> paged-snapshot warm-start sanity (a v2 snapshot in 1 KiB pages must"
+echo "    save and warm-start bit-identically on one worker and on all cores)"
 cargo bench -q -p dogmatix_bench --bench paged >/dev/null
 test -s BENCH_paged.json || { echo "BENCH_paged.json was not written"; exit 1; }
 

@@ -12,14 +12,14 @@
 //!   [`OdSet::build`] always did;
 //! * [`paged::PagedBackend`] persists the columnar store to a
 //!   **versioned, checksummed, paged snapshot file** and warm-starts
-//!   later runs from it through a pinned buffer pool under a memory
-//!   budget, skipping extraction and interning entirely. The columnar
-//!   layout makes this nearly free: a store *is* a handful of flat
-//!   arrays.
+//!   later runs from it, skipping extraction and interning entirely: a
+//!   load decodes the store into memory one checked page at a time. The
+//!   columnar layout makes this nearly free: a store *is* a handful of
+//!   flat arrays.
 //!
 //! Backends are wired with
 //! [`crate::pipeline::DogmatixBuilder::index_backend`]; the CLI exposes
-//! them as `--index-save` / `--index-load` (with `--mem-budget`).
+//! them as `--index-save` / `--index-load`.
 //!
 //! There is one snapshot format, DXTS version 2 — fixed-size pages
 //! behind a checksummed page directory; see [`paged`] for the layout.
@@ -49,10 +49,10 @@
 //!     .index_backend(PagedBackend::save("/tmp/dx.index"))
 //!     .build()
 //!     .run(&doc, &schema, "M")?;
-//! // Warm start under a 1 MiB pool budget: no re-interning.
+//! // Warm start: no re-interning.
 //! let warm = Dogmatix::builder()
 //!     .add_type("M", ["/db/m"])
-//!     .index_backend(PagedBackend::open("/tmp/dx.index", 1 << 20))
+//!     .index_backend(PagedBackend::open("/tmp/dx.index"))
 //!     .build()
 //!     .run(&doc, &schema, "M")?;
 //! assert_eq!(cold, warm);
@@ -114,15 +114,6 @@ impl TermIndexBackend for InMemoryBackend {
             ctx.mapping,
         )))
     }
-}
-
-/// Whether a [`paged::PagedBackend`] writes or reads its file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotMode {
-    /// Build in memory, then persist the store to the file.
-    Save,
-    /// Load the store from the file (no extraction, no interning).
-    Load,
 }
 
 /// Re-attaches the current run's candidate nodes to a freshly loaded
@@ -229,7 +220,7 @@ mod tests {
         let cold = detector(PagedBackend::save(&path))
             .run(&doc, &schema, "M")
             .unwrap();
-        let warm = detector(PagedBackend::open(&path, 1 << 20))
+        let warm = detector(PagedBackend::open(&path))
             .run(&doc, &schema, "M")
             .unwrap();
         assert_eq!(cold, warm);
@@ -246,14 +237,14 @@ mod tests {
         let dir = std::env::temp_dir().join("dx_backend_reject");
         std::fs::create_dir_all(&dir).unwrap();
         let (doc, schema) = corpus();
-        let missing = detector(PagedBackend::open(dir.join("nope.index"), 1 << 20))
+        let missing = detector(PagedBackend::open(dir.join("nope.index")))
             .run(&doc, &schema, "M")
             .unwrap_err();
         assert!(matches!(missing, DogmatixError::Snapshot { .. }));
 
         let bad_magic = dir.join("bad_magic.index");
         std::fs::write(&bad_magic, b"NOPE????????????????????????").unwrap();
-        let err = detector(PagedBackend::open(&bad_magic, 1 << 20))
+        let err = detector(PagedBackend::open(&bad_magic))
             .run(&doc, &schema, "M")
             .unwrap_err();
         assert!(err.to_string().contains("magic"), "{err}");
@@ -266,7 +257,7 @@ mod tests {
         let mut data = std::fs::read(&path).unwrap();
         data[4] = 0xFE;
         std::fs::write(&path, data).unwrap();
-        let err = detector(PagedBackend::open(&path, 1 << 20))
+        let err = detector(PagedBackend::open(&path))
             .run(&doc, &schema, "M")
             .unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
@@ -324,7 +315,7 @@ mod tests {
         let err = Dogmatix::builder()
             .add_type("M", ["/db/m"])
             .selector(crate::stage::ManualSelection::new().with("/db/m", ["/db/m/t"]))
-            .index_backend(PagedBackend::open(&path, 1 << 20))
+            .index_backend(PagedBackend::open(&path))
             .build()
             .run(&doc, &schema, "M")
             .unwrap_err();

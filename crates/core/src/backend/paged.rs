@@ -1,10 +1,8 @@
-//! The DXTS snapshot format (version 2) and its out-of-core reader,
+//! The DXTS snapshot format (version 2) and its backend,
 //! [`PagedBackend`].
 //!
 //! Every store column is split into **fixed-size pages** behind a page
-//! directory, so a reader can fault in exactly the pages it touches
-//! through a [`BufferPool`] and keep at most a configured budget of
-//! them resident:
+//! directory, each page with its own checksum:
 //!
 //! ```text
 //! offset  field
@@ -27,7 +25,7 @@
 //! zero-padded, so page `p` of a section lives at block
 //! `first_page + p` and fixed-width 4- and 8-byte fields never straddle
 //! a page boundary. Each data page carries its own checksum in the
-//! header table, verified at fault-in time — a byte flip anywhere in
+//! header table, verified as the page is read — a byte flip anywhere in
 //! the file is caught either by the header checksum or by the checksum
 //! of the page it lands in, before any decoded value is trusted.
 //!
@@ -36,35 +34,26 @@
 //! bytes, term spans/types/char-lens/IDF bits, CSR posting starts +
 //! postings, type/path name spans, per-type stats) and the OD columns
 //! (od starts, tuple term/value/path, group starts/types/members).
-//! Loading ends in the fingerprint checks and a full
+//!
+//! A load decodes the store into memory section by section, one checked
+//! page at a time: a file is read page by page into one page-sized
+//! buffer, and an in-memory image (a WAL checkpoint's store) is checked
+//! in place. Loading ends in the fingerprint checks and a full
 //! [`StoreAuditor`] pass.
-//!
-//! Two readers are built on the pool:
-//!
-//! * [`PagedBackend`] — the [`TermIndexBackend`] implementation.
-//!   Loading streams each section through the pool page by page (one
-//!   pin at a time), so **peak pool residency stays under the budget
-//!   regardless of snapshot size** (the `benches/paged.rs` gate holds
-//!   [`PoolStats::peak_resident_bytes`] under a budget smaller than the
-//!   file).
-//! * [`PagedReader`] — random point access (term text, posting lists)
-//!   that pins only the directory-addressed pages a lookup touches;
-//!   with a small budget the pool visibly evicts and refaults.
 
 use super::{
     attach_candidates, checked_u32, doc_fingerprint, selection_fingerprint, snap_err, IndexContext,
-    SnapshotMode, TermIndexBackend,
+    TermIndexBackend,
 };
 use crate::error::DogmatixError;
 use crate::od::{OdSet, TermId};
 use crate::store::audit::StoreAuditor;
 use crate::store::codec::{self, put_u32, put_u64, Cursor};
-use crate::store::pool::{BlockId, BufferPool, PageSource, PoolStats};
 use crate::store::{PathId, Span, TermStore, TypeStats};
 use std::collections::{BTreeSet, HashMap};
-use std::ops::Range;
+use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 const MAGIC: &[u8; 4] = b"DXTS";
 
@@ -293,7 +282,6 @@ struct SectionMeta {
 #[derive(Debug)]
 struct PagedHeader {
     page_size: usize,
-    page_count: u32,
     header_len: usize,
     sections: Vec<SectionMeta>,
     page_checksums: Vec<u64>,
@@ -411,7 +399,6 @@ fn parse_paged_header(header: &[u8], file_len: u64) -> Result<PagedHeader, Dogma
 
     Ok(PagedHeader {
         page_size: fixed.page_size,
-        page_count: fixed.page_count,
         header_len: fixed.header_len,
         sections,
         page_checksums,
@@ -422,144 +409,123 @@ fn parse_paged_header(header: &[u8], file_len: u64) -> Result<PagedHeader, Dogma
 
 #[derive(Debug)]
 enum Backing {
-    File(std::fs::File),
+    /// A snapshot file, read one page at a time into the reusable
+    /// `page` buffer.
+    File {
+        file: std::fs::File,
+        page: Vec<u8>,
+        path: PathBuf,
+    },
+    /// An in-memory image (a WAL checkpoint's embedded store), whose
+    /// pages are checked in place.
     Bytes(Vec<u8>),
 }
 
-/// [`PageSource`] over a snapshot: serves `page_count` fixed-size pages
-/// from the data region and verifies each page's checksum against the
-/// header table at fault-in time.
+/// A snapshot's verified header plus its data pages. [`PagedSource::page`]
+/// checks each page against the header's checksum table before any of
+/// its bytes are decoded.
 #[derive(Debug)]
 struct PagedSource {
-    header: Arc<PagedHeader>,
+    header: PagedHeader,
     backing: Backing,
-    label: String,
 }
 
-impl PageSource for PagedSource {
-    fn page_size(&self) -> usize {
-        self.header.page_size
+impl PagedSource {
+    /// Opens a snapshot file: parses and verifies the header, reading
+    /// nothing of the data region yet.
+    fn file(path: &Path) -> Result<PagedSource, DogmatixError> {
+        let mut f = std::fs::File::open(path)
+            .map_err(|e| snap_err(format!("cannot read snapshot {}: {e}", path.display())))?;
+        let file_len = f
+            .metadata()
+            .map_err(|e| snap_err(format!("cannot stat snapshot {}: {e}", path.display())))?
+            .len();
+        let mut header_bytes = Vec::with_capacity(HEADER_FIXED);
+        (&mut f)
+            .take(HEADER_FIXED as u64)
+            .read_to_end(&mut header_bytes)
+            .map_err(|e| snap_err(format!("cannot read snapshot {}: {e}", path.display())))?;
+        let parsed = parse_fixed_header(&header_bytes)?;
+        header_bytes.resize(parsed.header_len, 0);
+        f.read_exact(&mut header_bytes[HEADER_FIXED..])
+            .map_err(|_| snap_err("snapshot truncated: incomplete paged header"))?;
+        let header = parse_paged_header(&header_bytes, file_len)?;
+        Ok(PagedSource {
+            backing: Backing::File {
+                file: f,
+                page: vec![0; header.page_size],
+                path: path.to_path_buf(),
+            },
+            header,
+        })
     }
 
-    fn page_count(&self) -> u32 {
-        self.header.page_count
+    /// Opens an in-memory snapshot image.
+    fn bytes(data: Vec<u8>) -> Result<PagedSource, DogmatixError> {
+        let fixed = parse_fixed_header(&data)?;
+        let header_bytes = data
+            .get(..fixed.header_len)
+            .ok_or_else(|| snap_err("snapshot truncated: incomplete paged header"))?;
+        let header = parse_paged_header(header_bytes, data.len() as u64)?;
+        Ok(PagedSource {
+            header,
+            backing: Backing::Bytes(data),
+        })
     }
 
-    fn read_page(&mut self, block: BlockId, buf: &mut [u8]) -> Result<(), DogmatixError> {
-        let offset = self.header.header_len as u64 + block.0 as u64 * self.header.page_size as u64;
-        match &mut self.backing {
-            Backing::File(f) => {
-                use std::io::{Read, Seek, SeekFrom};
-                f.seek(SeekFrom::Start(offset))
-                    .and_then(|_| f.read_exact(buf))
-                    .map_err(|e| {
-                        snap_err(format!(
-                            "cannot read {block} of snapshot {}: {e}",
-                            self.label
-                        ))
-                    })?;
-            }
-            Backing::Bytes(b) => {
-                let start = offset as usize;
-                let page = b
-                    .get(start..start + self.header.page_size)
-                    .ok_or_else(|| snap_err("snapshot truncated: page past end of image"))?;
-                buf.copy_from_slice(page);
-            }
-        }
+    /// Data page `block`, after its checksum matched the header table.
+    fn page(&mut self, block: u32) -> Result<&[u8], DogmatixError> {
+        let size = self.header.page_size;
+        let offset = self.header.header_len as u64 + block as u64 * size as u64;
         let expected = self
             .header
             .page_checksums
-            .get(block.0 as usize)
+            .get(block as usize)
             .copied()
-            .ok_or_else(|| snap_err(format!("{block} has no checksum table entry")))?;
-        if codec::checksum(buf) != expected {
+            .ok_or_else(|| snap_err(format!("block {block} has no checksum table entry")))?;
+        let page: &[u8] = match &mut self.backing {
+            Backing::File { file, page, path } => {
+                file.seek(SeekFrom::Start(offset))
+                    .and_then(|_| file.read_exact(page))
+                    .map_err(|e| {
+                        snap_err(format!(
+                            "cannot read block {block} of snapshot {}: {e}",
+                            path.display()
+                        ))
+                    })?;
+                page
+            }
+            Backing::Bytes(b) => {
+                let start = offset as usize;
+                b.get(start..start + size)
+                    .ok_or_else(|| snap_err("snapshot truncated: page past end of image"))?
+            }
+        };
+        if codec::checksum(page) != expected {
             return Err(snap_err(format!(
-                "paged snapshot corrupted: checksum mismatch on {block}"
+                "paged snapshot corrupted: checksum mismatch on block {block}"
             )));
         }
-        Ok(())
+        Ok(page)
     }
-}
-
-/// Opens a snapshot file: parses + verifies the header, then wraps the
-/// data region in a budget-bounded [`BufferPool`].
-fn pool_over_file(
-    path: &Path,
-    budget: usize,
-) -> Result<(BufferPool, Arc<PagedHeader>), DogmatixError> {
-    use std::io::Read;
-    let mut f = std::fs::File::open(path)
-        .map_err(|e| snap_err(format!("cannot read snapshot {}: {e}", path.display())))?;
-    let file_len = f
-        .metadata()
-        .map_err(|e| snap_err(format!("cannot stat snapshot {}: {e}", path.display())))?
-        .len();
-    let mut header_bytes = Vec::with_capacity(HEADER_FIXED);
-    (&mut f)
-        .take(HEADER_FIXED as u64)
-        .read_to_end(&mut header_bytes)
-        .map_err(|e| snap_err(format!("cannot read snapshot {}: {e}", path.display())))?;
-    let parsed = parse_fixed_header(&header_bytes)?;
-    header_bytes.resize(parsed.header_len, 0);
-    f.read_exact(&mut header_bytes[HEADER_FIXED..])
-        .map_err(|_| snap_err("snapshot truncated: incomplete paged header"))?;
-    let header = Arc::new(parse_paged_header(&header_bytes, file_len)?);
-    let source = PagedSource {
-        header: Arc::clone(&header),
-        backing: Backing::File(f),
-        label: path.display().to_string(),
-    };
-    let pool = BufferPool::new(Box::new(source), budget)?;
-    Ok((pool, header))
-}
-
-/// A pool over an in-memory snapshot image (a WAL checkpoint's
-/// embedded store).
-fn pool_over_bytes(
-    data: Vec<u8>,
-    budget: usize,
-) -> Result<(BufferPool, Arc<PagedHeader>), DogmatixError> {
-    let fixed = parse_fixed_header(&data)?;
-    let header_bytes = data
-        .get(..fixed.header_len)
-        .ok_or_else(|| snap_err("snapshot truncated: incomplete paged header"))?;
-    let header = Arc::new(parse_paged_header(header_bytes, data.len() as u64)?);
-    let source = PagedSource {
-        header: Arc::clone(&header),
-        backing: Backing::Bytes(data),
-        label: "<bytes>".to_string(),
-    };
-    let pool = BufferPool::new(Box::new(source), budget)?;
-    Ok((pool, header))
 }
 
 // ---- streaming section decoder ----------------------------------------
 
-/// Hands the bytes `range` of a section to `f` one pinned page at a
-/// time — the pool, not the caller, bounds residency. Each slice ends
-/// at a page boundary or at `range.end`.
+/// Hands section `sec` to `f` one checked page at a time. Each slice
+/// ends at a page boundary or at the end of the section.
 fn stream_section(
-    pool: &mut BufferPool,
-    meta: SectionMeta,
-    range: Range<u64>,
+    src: &mut PagedSource,
+    sec: usize,
     mut f: impl FnMut(&[u8]) -> Result<(), DogmatixError>,
 ) -> Result<(), DogmatixError> {
-    if range.end > meta.byte_len {
-        return Err(snap_err(
-            "paged snapshot corrupted: read past the end of a section",
-        ));
-    }
-    let ps = pool.page_size() as u64;
-    let mut pos = range.start;
-    while pos < range.end {
-        let block = BlockId(meta.first_page.wrapping_add((pos / ps) as u32));
-        let page = pool.pin(block)?;
-        let off = (pos % ps) as usize;
-        let n = (ps - off as u64).min(range.end - pos) as usize;
-        let done = f(&pool.data(&page)[off..off + n]);
-        pool.unpin(page);
-        done?;
+    let meta = src.header.sections[sec];
+    let size = src.header.page_size as u64;
+    let mut pos = 0;
+    while pos < meta.byte_len {
+        let page = src.page(meta.first_page.wrapping_add((pos / size) as u32))?;
+        let n = size.min(meta.byte_len - pos) as usize;
+        f(&page[..n])?;
         pos += n as u64;
     }
     Ok(())
@@ -570,26 +536,26 @@ fn stream_section(
 /// Sections start on a page boundary and pages are a multiple of 8
 /// bytes, so no word straddles two pages.
 fn read_words(
-    pool: &mut BufferPool,
-    meta: SectionMeta,
+    src: &mut PagedSource,
+    sec: usize,
     elem: u64,
     what: &str,
 ) -> Result<Vec<u32>, DogmatixError> {
-    if !meta.byte_len.is_multiple_of(elem) {
+    let byte_len = src.header.sections[sec].byte_len;
+    if !byte_len.is_multiple_of(elem) {
         return Err(snap_err(format!(
-            "paged snapshot corrupted: section {what} is {} B, not a multiple \
-             of its {elem} B element",
-            meta.byte_len
+            "paged snapshot corrupted: section {what} is {byte_len} B, not a \
+             multiple of its {elem} B element"
         )));
     }
-    if meta.byte_len / elem > MAX_ARRAY_LEN {
+    if byte_len / elem > MAX_ARRAY_LEN {
         return Err(snap_err(format!(
             "implausible array length {}",
-            meta.byte_len / elem
+            byte_len / elem
         )));
     }
-    let mut out = Vec::with_capacity((meta.byte_len / 4) as usize);
-    stream_section(pool, meta, 0..meta.byte_len, |bytes| {
+    let mut out = Vec::with_capacity((byte_len / 4) as usize);
+    stream_section(src, sec, |bytes| {
         let mut c = Cursor::new(bytes);
         while !c.is_empty() {
             out.push(c.u32().map_err(snap_err)?);
@@ -599,56 +565,44 @@ fn read_words(
     Ok(out)
 }
 
-fn read_spans(
-    pool: &mut BufferPool,
-    meta: SectionMeta,
-    what: &str,
-) -> Result<Vec<Span>, DogmatixError> {
-    let words = read_words(pool, meta, 8, what)?;
+fn read_spans(src: &mut PagedSource, sec: usize, what: &str) -> Result<Vec<Span>, DogmatixError> {
+    let words = read_words(src, sec, 8, what)?;
     Ok(words
         .chunks_exact(2)
         .map(|w| Span::new(w[0], w[1]))
         .collect())
 }
 
-fn read_arena(pool: &mut BufferPool, meta: SectionMeta) -> Result<String, DogmatixError> {
-    if meta.byte_len > MAX_ARRAY_LEN {
-        return Err(snap_err(format!(
-            "implausible array length {}",
-            meta.byte_len
-        )));
+/// Reads a whole byte section (the meta record or the arena).
+fn read_bytes(src: &mut PagedSource, sec: usize) -> Result<Vec<u8>, DogmatixError> {
+    let byte_len = src.header.sections[sec].byte_len;
+    if byte_len > MAX_ARRAY_LEN {
+        return Err(snap_err(format!("implausible array length {byte_len}")));
     }
-    let mut bytes = Vec::with_capacity(meta.byte_len as usize);
-    stream_section(pool, meta, 0..meta.byte_len, |b| {
+    let mut bytes = Vec::with_capacity(byte_len as usize);
+    stream_section(src, sec, |b| {
         bytes.extend_from_slice(b);
         Ok(())
     })?;
-    String::from_utf8(bytes).map_err(|_| snap_err("snapshot corrupted: arena is not valid UTF-8"))
+    Ok(bytes)
 }
 
-/// Streams every section through the pool, checks the fingerprints,
-/// assembles the set and runs the full store audit. Peak pool
-/// residency during this call is bounded by the pool's budget, not the
-/// snapshot size. The returned set carries **no candidate nodes** — the
-/// caller re-attaches the current run's.
+/// Streams every section page by page, checks the fingerprints,
+/// assembles the set and runs the full store audit. The returned set
+/// carries **no candidate nodes** — the caller re-attaches the current
+/// run's.
 fn decode_paged(
-    pool: &mut BufferPool,
-    header: &PagedHeader,
+    src: &mut PagedSource,
     selections: &HashMap<String, BTreeSet<String>>,
     doc_fingerprint: u64,
 ) -> Result<OdSet, DogmatixError> {
-    let sec = |i: usize| header.sections[i];
-    if sec(SEC_META).byte_len != META_BYTES {
+    let meta_len = src.header.sections[SEC_META].byte_len;
+    if meta_len != META_BYTES {
         return Err(snap_err(format!(
-            "paged snapshot corrupted: meta section is {} B (expected {META_BYTES})",
-            sec(SEC_META).byte_len
+            "paged snapshot corrupted: meta section is {meta_len} B (expected {META_BYTES})"
         )));
     }
-    let mut meta = Vec::with_capacity(META_BYTES as usize);
-    stream_section(pool, sec(SEC_META), 0..META_BYTES, |b| {
-        meta.extend_from_slice(b);
-        Ok(())
-    })?;
+    let meta = read_bytes(src, SEC_META)?;
     let mut c = Cursor::new(&meta);
     let object_count = c.u32().map_err(snap_err)?;
     let selection_fp = c.u64().map_err(snap_err)?;
@@ -666,21 +620,23 @@ fn decode_paged(
         ));
     }
 
-    let idf_words = read_words(pool, sec(SEC_TERM_IDFS), 8, "term idfs")?;
-    let stat_words = read_words(pool, sec(SEC_TYPE_STATS), 12, "type stats")?;
+    let idf_words = read_words(src, SEC_TERM_IDFS, 8, "term idfs")?;
+    let stat_words = read_words(src, SEC_TYPE_STATS, 12, "type stats")?;
+    let arena = String::from_utf8(read_bytes(src, SEC_ARENA)?)
+        .map_err(|_| snap_err("snapshot corrupted: arena is not valid UTF-8"))?;
     let store = TermStore::from_parts(
-        read_arena(pool, sec(SEC_ARENA))?,
-        read_spans(pool, sec(SEC_TERM_SPANS), "term spans")?,
-        read_words(pool, sec(SEC_TERM_TYPES), 4, "term types")?,
-        read_words(pool, sec(SEC_TERM_CHAR_LENS), 4, "term char lens")?,
+        arena,
+        read_spans(src, SEC_TERM_SPANS, "term spans")?,
+        read_words(src, SEC_TERM_TYPES, 4, "term types")?,
+        read_words(src, SEC_TERM_CHAR_LENS, 4, "term char lens")?,
         idf_words
             .chunks_exact(2)
             .map(|w| f64::from_bits(u64::from(w[0]) | u64::from(w[1]) << 32))
             .collect(),
-        read_words(pool, sec(SEC_POSTING_STARTS), 4, "posting starts")?,
-        read_words(pool, sec(SEC_POSTINGS), 4, "postings")?,
-        read_spans(pool, sec(SEC_TYPE_NAME_SPANS), "type names")?,
-        read_spans(pool, sec(SEC_PATH_NAME_SPANS), "path names")?,
+        read_words(src, SEC_POSTING_STARTS, 4, "posting starts")?,
+        read_words(src, SEC_POSTINGS, 4, "postings")?,
+        read_spans(src, SEC_TYPE_NAME_SPANS, "type names")?,
+        read_spans(src, SEC_PATH_NAME_SPANS, "path names")?,
         stat_words
             .chunks_exact(3)
             .map(|w| TypeStats {
@@ -694,20 +650,20 @@ fn decode_paged(
     let ods = OdSet::from_columns(
         Vec::new(),
         store,
-        read_words(pool, sec(SEC_OD_STARTS), 4, "od starts")?,
-        read_words(pool, sec(SEC_TUPLE_TERM), 4, "tuple terms")?
+        read_words(src, SEC_OD_STARTS, 4, "od starts")?,
+        read_words(src, SEC_TUPLE_TERM, 4, "tuple terms")?
             .into_iter()
             .map(TermId)
             .collect(),
-        read_spans(pool, sec(SEC_TUPLE_VALUE_SPANS), "tuple values")?,
-        read_words(pool, sec(SEC_TUPLE_PATH), 4, "tuple paths")?
+        read_spans(src, SEC_TUPLE_VALUE_SPANS, "tuple values")?,
+        read_words(src, SEC_TUPLE_PATH, 4, "tuple paths")?
             .into_iter()
             .map(PathId)
             .collect(),
-        read_words(pool, sec(SEC_OD_GROUP_STARTS), 4, "od group starts")?,
-        read_words(pool, sec(SEC_GROUP_TYPES), 4, "group types")?,
-        read_words(pool, sec(SEC_GROUP_STARTS), 4, "group starts")?,
-        read_words(pool, sec(SEC_GROUP_TUPLES), 4, "group tuples")?,
+        read_words(src, SEC_OD_GROUP_STARTS, 4, "od group starts")?,
+        read_words(src, SEC_GROUP_TYPES, 4, "group types")?,
+        read_words(src, SEC_GROUP_STARTS, 4, "group starts")?,
+        read_words(src, SEC_GROUP_TUPLES, 4, "group tuples")?,
     );
 
     // Structural + semantic validation: the live-store auditor checks
@@ -725,30 +681,34 @@ fn decode_paged(
     Ok(ods)
 }
 
-/// Verifies and reassembles a snapshot from an in-memory image, through
-/// a pool with the given budget. Used by [`crate::wal`] checkpoint
-/// recovery.
+/// Verifies and reassembles a snapshot from an in-memory image, checking
+/// its pages in place. Used by [`crate::wal`] checkpoint recovery.
 pub(crate) fn odset_from_paged_bytes(
     data: Vec<u8>,
     selections: &HashMap<String, BTreeSet<String>>,
     doc_fingerprint: u64,
-    budget: usize,
 ) -> Result<OdSet, DogmatixError> {
-    let (mut pool, header) = pool_over_bytes(data, budget)?;
-    decode_paged(&mut pool, &header, selections, doc_fingerprint)
+    decode_paged(&mut PagedSource::bytes(data)?, selections, doc_fingerprint)
 }
 
 // ---- the backend ------------------------------------------------------
 
-/// The persistent, out-of-core term-index backend: snapshots read
-/// through a pinned buffer pool under a configurable memory budget.
+/// Whether a [`PagedBackend`] writes or reads its file.
+#[derive(Debug, Clone, Copy)]
+enum SnapshotMode {
+    /// Build in memory, then persist the store to the file.
+    Save,
+    /// Load the store from the file (no extraction, no interning).
+    Load,
+}
+
+/// The persistent term-index backend: DXTS snapshots saved after a
+/// cold build and loaded by later runs.
 ///
 /// [`PagedBackend::open`] loads (the common case); [`PagedBackend::save`]
-/// builds in memory and writes the snapshot file. Loading streams the
-/// file page by page, so peak pool residency never exceeds the budget
-/// even when the snapshot is far larger — [`PagedBackend::last_stats`]
-/// exposes the pool counters of the most recent load, which the
-/// scaling bench gate asserts against. Results are bit-identical to
+/// builds in memory and writes the snapshot file. A load decodes the
+/// store into memory one checked page at a time, holding one page-sized
+/// read buffer. Results are bit-identical to
 /// [`InMemoryBackend`](super::InMemoryBackend) (`tests/equivalence.rs`).
 ///
 /// ```no_run
@@ -764,10 +724,10 @@ pub(crate) fn odset_from_paged_bytes(
 ///     .index_backend(PagedBackend::save("/tmp/dx.v2"))
 ///     .build()
 ///     .run(&doc, &schema, "M")?;
-/// // Warm start under a 64 KiB pool budget.
+/// // Warm start from the snapshot.
 /// let warm = Dogmatix::builder()
 ///     .add_type("M", ["/db/m"])
-///     .index_backend(PagedBackend::open("/tmp/dx.v2", 64 * 1024))
+///     .index_backend(PagedBackend::open("/tmp/dx.v2"))
 ///     .build()
 ///     .run(&doc, &schema, "M")?;
 /// # let _ = warm;
@@ -777,67 +737,34 @@ pub(crate) fn odset_from_paged_bytes(
 pub struct PagedBackend {
     path: PathBuf,
     mode: SnapshotMode,
-    budget: usize,
     page_size: usize,
-    last_stats: Mutex<Option<PoolStats>>,
 }
 
 impl PagedBackend {
-    /// A backend that warm-starts from the snapshot at `path`, holding
-    /// at most `budget` bytes of pages resident.
-    pub fn open(path: impl Into<PathBuf>, budget: usize) -> PagedBackend {
+    /// A backend that warm-starts from the snapshot at `path`.
+    pub fn open(path: impl Into<PathBuf>) -> PagedBackend {
         PagedBackend {
             path: path.into(),
             mode: SnapshotMode::Load,
-            budget,
             page_size: DEFAULT_PAGE_SIZE,
-            last_stats: Mutex::new(None),
         }
     }
 
     /// A backend that builds in memory and saves the snapshot to `path`
-    /// (with [`DEFAULT_PAGE_SIZE`] pages unless overridden). Saving
-    /// holds no pool, so [`PagedBackend::budget`] reads 0.
+    /// (with [`DEFAULT_PAGE_SIZE`] pages unless overridden).
     pub fn save(path: impl Into<PathBuf>) -> PagedBackend {
         PagedBackend {
             path: path.into(),
             mode: SnapshotMode::Save,
-            budget: 0,
             page_size: DEFAULT_PAGE_SIZE,
-            last_stats: Mutex::new(None),
         }
     }
 
     /// Overrides the page size used by [`PagedBackend::save`]. Smaller
-    /// pages mean finer-grained eviction (and more checksum entries).
+    /// pages mean more checksum entries, each covering fewer bytes.
     pub fn with_page_size(mut self, page_size: usize) -> PagedBackend {
         self.page_size = page_size;
         self
-    }
-
-    /// The snapshot file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The backend's mode.
-    pub fn mode(&self) -> SnapshotMode {
-        self.mode
-    }
-
-    /// The pool memory budget of loads, in bytes.
-    pub fn budget(&self) -> usize {
-        self.budget
-    }
-
-    /// Pool counters from the most recent load, if one has completed.
-    /// `peak_resident_bytes` here is what the scaling bench holds under
-    /// the budget.
-    pub fn last_stats(&self) -> Option<PoolStats> {
-        match self.last_stats.lock() {
-            Ok(guard) => *guard,
-            Err(poisoned) => *poisoned.into_inner(),
-        }
     }
 }
 
@@ -856,107 +783,14 @@ impl TermIndexBackend for PagedBackend {
                 Ok(Arc::new(ods))
             }
             SnapshotMode::Load => {
-                let (mut pool, header) = pool_over_file(&self.path, self.budget)?;
-                let ods =
-                    decode_paged(&mut pool, &header, ctx.selections, doc_fingerprint(ctx.doc))?;
-                if let Ok(mut guard) = self.last_stats.lock() {
-                    *guard = Some(pool.stats());
-                }
+                let ods = decode_paged(
+                    &mut PagedSource::file(&self.path)?,
+                    ctx.selections,
+                    doc_fingerprint(ctx.doc),
+                )?;
                 Ok(Arc::new(attach_candidates(ods, ctx.candidates)?))
             }
         }
-    }
-}
-
-/// Shared handles work too: the bench keeps an `Arc<PagedBackend>` to
-/// read [`PagedBackend::last_stats`] after handing the backend to a
-/// builder.
-impl TermIndexBackend for Arc<PagedBackend> {
-    fn acquire(&self, ctx: IndexContext<'_>) -> Result<Arc<OdSet>, DogmatixError> {
-        PagedBackend::acquire(self, ctx)
-    }
-}
-
-// ---- point access -----------------------------------------------------
-
-/// Random point access over a snapshot: term text and posting lists
-/// resolved by pinning exactly the pages a lookup touches. This is the
-/// genuinely out-of-core access path — nothing is decoded up front, and
-/// with a small budget the pool visibly evicts and refaults under a
-/// scattered access pattern ([`PagedReader::stats`]).
-#[derive(Debug)]
-pub struct PagedReader {
-    pool: BufferPool,
-    header: Arc<PagedHeader>,
-}
-
-impl PagedReader {
-    /// Opens the snapshot at `path` under a pool budget.
-    pub fn open(path: impl AsRef<Path>, budget: usize) -> Result<PagedReader, DogmatixError> {
-        let (pool, header) = pool_over_file(path.as_ref(), budget)?;
-        Ok(PagedReader { pool, header })
-    }
-
-    /// Number of interned terms in the snapshot.
-    pub fn term_count(&self) -> usize {
-        (self.header.sections[SEC_TERM_SPANS].byte_len / 8) as usize
-    }
-
-    /// Reads `out.len()` bytes at `offset` within section `sec`.
-    fn read_at(&mut self, sec: usize, offset: u64, out: &mut [u8]) -> Result<(), DogmatixError> {
-        let end = offset.checked_add(out.len() as u64).ok_or_else(|| {
-            snap_err("paged snapshot corrupted: point read out of section bounds")
-        })?;
-        let mut written = 0;
-        stream_section(
-            &mut self.pool,
-            self.header.sections[sec],
-            offset..end,
-            |b| {
-                out[written..written + b.len()].copy_from_slice(b);
-                written += b.len();
-                Ok(())
-            },
-        )
-    }
-
-    fn u32_at(&mut self, sec: usize, index: u64) -> Result<u32, DogmatixError> {
-        let mut b = [0u8; 4];
-        self.read_at(sec, index * 4, &mut b)?;
-        Ok(u32::from_le_bytes(b))
-    }
-
-    /// The normalised text of term `term`, resolved through the span
-    /// and arena pages only.
-    pub fn term_text(&mut self, term: u32) -> Result<String, DogmatixError> {
-        let mut span = [0u8; 8];
-        self.read_at(SEC_TERM_SPANS, term as u64 * 8, &mut span)?;
-        let mut c = Cursor::new(&span);
-        let start = c.u32().map_err(snap_err)?;
-        let len = c.u32().map_err(snap_err)?;
-        let mut bytes = vec![0u8; len as usize];
-        self.read_at(SEC_ARENA, start as u64, &mut bytes)?;
-        String::from_utf8(bytes)
-            .map_err(|_| snap_err("snapshot corrupted: arena is not valid UTF-8"))
-    }
-
-    /// The posting list (object ids) of term `term`, resolved through
-    /// the CSR start and posting pages only.
-    pub fn postings(&mut self, term: u32) -> Result<Vec<u32>, DogmatixError> {
-        let start = self.u32_at(SEC_POSTING_STARTS, term as u64)?;
-        let end = self.u32_at(SEC_POSTING_STARTS, term as u64 + 1)?;
-        let n = end
-            .checked_sub(start)
-            .ok_or_else(|| snap_err("paged snapshot corrupted: non-monotonic posting starts"))?;
-        let mut bytes = vec![0u8; n as usize * 4];
-        self.read_at(SEC_POSTINGS, start as u64 * 4, &mut bytes)?;
-        let mut c = Cursor::new(&bytes);
-        (0..n).map(|_| c.u32().map_err(snap_err)).collect()
-    }
-
-    /// Pool counters so far (hits, misses, evictions, peak residency).
-    pub fn stats(&self) -> PoolStats {
-        self.pool.stats()
     }
 }
 
@@ -997,62 +831,28 @@ mod tests {
     }
 
     #[test]
-    fn paged_roundtrip_matches_in_memory_under_a_tight_budget() {
+    fn paged_roundtrip_over_small_pages_matches_in_memory() {
         let path = temp("roundtrip");
         let (doc, schema) = corpus();
         let cold = detector(PagedBackend::save(&path).with_page_size(256))
             .run(&doc, &schema, "M")
             .unwrap();
-        let backend = Arc::new(PagedBackend::open(&path, 1024));
-        let warm = detector(Arc::clone(&backend))
+        let warm = detector(PagedBackend::open(&path))
             .run(&doc, &schema, "M")
             .unwrap();
         let in_memory = detector(InMemoryBackend).run(&doc, &schema, "M").unwrap();
         assert_eq!(cold, warm);
         assert_eq!(warm, in_memory);
-        // A 1 KiB budget over 256 B pages = 4 frames; the snapshot is
-        // far larger, so the load must have evicted and stayed bounded.
-        let stats = backend.last_stats().unwrap();
-        assert!(stats.peak_resident_bytes <= 1024, "{stats:?}");
-        assert!(stats.evictions > 0, "{stats:?}");
-        assert!(
-            std::fs::metadata(&path).unwrap().len() > 1024,
-            "snapshot must exceed the budget for this test to mean anything"
-        );
-    }
-
-    #[test]
-    fn paged_reader_point_reads_match_the_decoded_store() {
-        let path = temp("points");
-        let (doc, schema) = corpus();
-        let dx = detector(PagedBackend::save(&path).with_page_size(256));
-        dx.run(&doc, &schema, "M").unwrap();
-
-        // Ground truth from a full in-memory build.
-        let reference = detector(InMemoryBackend);
-        let session = reference.session(&doc, &schema, "M").unwrap();
-        let selections = session
-            .selections_for(reference.selector_stage().as_ref())
-            .unwrap();
-        let ods = session.object_descriptions(&selections);
-        let store = ods.store();
-
-        let mut reader = PagedReader::open(&path, 1024).unwrap();
-        assert_eq!(reader.term_count(), store.term_count());
-        let step = (store.term_count() / 13).max(1);
-        for t in (0..store.term_count()).step_by(step) {
-            assert_eq!(reader.term_text(t as u32).unwrap(), store.norm(t));
-            assert_eq!(reader.postings(t as u32).unwrap(), store.postings(t));
-        }
-        let stats = reader.stats();
-        assert!(stats.peak_resident_bytes <= 1024, "{stats:?}");
+        // 256 B pages spread the image over many pages, so the load
+        // crossed page boundaries inside sections.
+        assert!(std::fs::metadata(&path).unwrap().len() > 8 * 256);
     }
 
     #[test]
     fn version_cross_errors_name_both_versions() {
         // A file labelled with the retired flat version 1 (or any other
         // version) is refused naming its version and the one this build
-        // reads — by the point reader and by the backend.
+        // reads.
         let (doc, schema) = corpus();
         let path = temp("relabelled");
         detector(PagedBackend::save(&path))
@@ -1061,15 +861,13 @@ mod tests {
         let mut data = std::fs::read(&path).unwrap();
         data[4..8].copy_from_slice(&1u32.to_le_bytes());
         std::fs::write(&path, &data).unwrap();
-        let err = PagedReader::open(&path, 1 << 16).unwrap_err();
+        let err = detector(PagedBackend::open(&path))
+            .run(&doc, &schema, "M")
+            .unwrap_err();
         let msg = err.to_string();
         assert!(matches!(err, DogmatixError::Snapshot { .. }), "{msg}");
         assert!(msg.contains("version 1"), "{msg}");
         assert!(msg.contains("version 2"), "{msg}");
-        let err = detector(PagedBackend::open(&path, 1 << 16))
-            .run(&doc, &schema, "M")
-            .unwrap_err();
-        assert!(err.to_string().contains("version 1"), "{err}");
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -94,17 +94,20 @@ const PARALLEL_MIN_PAIRS: usize = 2048;
 const UNITS_PER_WORKER: usize = 8;
 
 /// Scores `plan` on up to `workers` threads and returns the verdicts
-/// sorted by `(i, j)`. `NonDuplicate` verdicts are kept only when
-/// `keep_non_duplicates` is set.
+/// sorted by `(i, j)`, with the number of pairs scored. `NonDuplicate`
+/// verdicts are kept only when `keep_non_duplicates` is set.
 pub(crate) fn execute(
     plan: PairPlan<'_>,
     workers: usize,
     measure: &dyn PreparedMeasure,
     classifier: &dyn PairClassifier,
     keep_non_duplicates: bool,
-) -> Vec<Verdict> {
+) -> (Vec<Verdict>, usize) {
+    // Scores one unit and returns how many pairs it scored.
     let score = |unit: &Unit<'_>, cache: &mut DistCache, out: &mut Vec<Verdict>| {
+        let mut scored = 0;
         let mut score_pair = |i: usize, j: usize| {
+            scored += 1;
             let sim = measure.sim(i, j, cache);
             let class = classifier.classify(sim);
             if keep_non_duplicates || class != Class::NonDuplicate {
@@ -125,13 +128,15 @@ pub(crate) fn execute(
                 }
             }
         }
+        scored
     };
 
     let mut verdicts = Vec::new();
+    let mut scored = 0;
     if workers <= 1 || plan.len() < PARALLEL_MIN_PAIRS {
         let mut cache = DistCache::new();
         for unit in &units(plan, usize::MAX) {
-            score(unit, &mut cache, &mut verdicts);
+            scored += score(unit, &mut cache, &mut verdicts);
         }
     } else {
         let units = units(plan, plan.len().div_ceil(workers * UNITS_PER_WORKER));
@@ -142,26 +147,27 @@ pub(crate) fn execute(
                     let (units, next, score) = (&units, &next, &score);
                     scope.spawn(move || {
                         let mut cache = DistCache::new();
-                        let mut local = Vec::new();
+                        let (mut local, mut local_scored) = (Vec::new(), 0);
                         // The counter only hands out unit indices; the
                         // units were built before the spawn.
                         while let Some(unit) = units.get(next.fetch_add(1, Ordering::Relaxed)) {
-                            score(unit, &mut cache, &mut local);
+                            local_scored += score(unit, &mut cache, &mut local);
                         }
-                        local
+                        (local, local_scored)
                     })
                 })
                 .collect();
             for handle in handles {
-                let local = handle
+                let (local, local_scored) = handle
                     .join()
                     .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
                 verdicts.extend(local);
+                scored += local_scored;
             }
         });
     }
     verdicts.sort_unstable_by_key(|&(i, j, _, _)| (i, j));
-    verdicts
+    (verdicts, scored)
 }
 
 /// Cuts `plan` into chunks of about `target` pairs: runs of whole rows
@@ -240,7 +246,8 @@ mod tests {
         for plan in [PairPlan::AllPairs(&active), PairPlan::Pairs(&explicit)] {
             assert!(plan.len() >= PARALLEL_MIN_PAIRS);
             for keep in [false, true] {
-                let inline = execute(plan, 1, &engine, &classifier, keep);
+                let (inline, scored) = execute(plan, 1, &engine, &classifier, keep);
+                assert_eq!(scored, plan.len());
                 let count = |class| inline.iter().filter(|v| v.3 == class).count();
                 assert!(count(Class::Duplicate) > 0 && count(Class::Possible) > 0);
                 assert_eq!(count(Class::NonDuplicate) > 0, keep);
@@ -248,8 +255,9 @@ mod tests {
                     assert_eq!(inline.len(), plan.len());
                 }
                 for workers in [1, 2, 4, 16] {
-                    let pooled = execute(plan, workers, &engine, &classifier, keep);
+                    let (pooled, scored) = execute(plan, workers, &engine, &classifier, keep);
                     assert_eq!(pooled, inline, "{plan:?} workers={workers}");
+                    assert_eq!(scored, plan.len(), "{plan:?} workers={workers}");
                 }
             }
         }

@@ -80,10 +80,10 @@
 use crate::candidate::{select_candidates, CandidateSet};
 use crate::classify::Class;
 use crate::error::DogmatixError;
+use crate::executor::PairPlan;
 use crate::mapping::Mapping;
 use crate::od::{extract_raw_tuples, OdSet, RawTuple};
 use crate::pipeline::{selections_for_paths, DetectionResult, Dogmatix, RunStats};
-use crate::shard::PairPlan;
 use crate::stage::{FilterDecision, PairClassifier, SimContext, SimilarityMeasure};
 use dogmatix_xml::{Document, NodeId, Schema};
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -689,7 +689,7 @@ impl IncrementalSession {
     /// `path`, installed atomically (tmp + rename). It is the same DXTS
     /// image a WAL checkpoint embeds, written as a standalone file that
     /// [`crate::backend::paged::PagedBackend`] or `--index-load` can
-    /// later serve under a memory budget.
+    /// later warm-start from.
     ///
     /// Only a *clean* session can be exported: the store must describe
     /// the current document, so pending deltas (or a session that never
@@ -891,7 +891,8 @@ pub(crate) fn detect_incremental(
         ods: &ods,
     });
     // Non-duplicate verdicts are kept so the next delta can replay them.
-    let scored = dx.score_plan(prepared.as_ref(), PairPlan::Pairs(&to_score), true);
+    let (scored, pairs_compared) =
+        dx.score_plan(prepared.as_ref(), PairPlan::Pairs(&to_score), true);
     drop(prepared);
     s.counters.pairs_scored += scored.len();
     s.counters.pairs_reused += reused.len();
@@ -928,7 +929,7 @@ pub(crate) fn detect_incremental(
             candidates: n,
             pruned_by_filter,
             pairs_total: n * n.saturating_sub(1) / 2,
-            pairs_compared: to_score.len(),
+            pairs_compared,
         },
     };
     s.prev = Some(PrevRun {

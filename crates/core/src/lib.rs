@@ -23,7 +23,7 @@
 //! | beyond the paper: streaming ingest | [`incremental`] |
 //! | beyond the paper: write-ahead delta log + crash recovery | [`wal`] |
 //! | beyond the paper: q-gram / MinHash-LSH blocking | [`filter`], [`neighborhood`] |
-//! | step 5 pair-plan executor and its worker pool | [`shard`] |
+//! | step 5 pair-plan executor and its worker pool | `executor` (crate-private) |
 //! | beyond the paper: columnar term store + persistent index backends | [`store`], [`backend`] |
 //!
 //! ## Quick start
@@ -90,6 +90,7 @@ pub mod candidate;
 pub mod classify;
 pub mod cluster;
 pub mod error;
+mod executor;
 pub mod filter;
 pub mod fusion;
 pub mod heuristics;
@@ -101,7 +102,6 @@ pub mod output;
 pub mod pipeline;
 pub mod probe;
 pub mod query;
-pub mod shard;
 pub mod sim;
 pub mod simgraph;
 pub mod stage;

@@ -18,7 +18,7 @@
 //! which holds the resolved candidates and caches object descriptions per
 //! selection, so parameter sweeps and benches stop re-deriving state.
 //!
-//! Step 5 runs through the one pair-plan executor of [`crate::shard`];
+//! Step 5 runs through the crate's one pair-plan executor;
 //! `threads` sets its worker count, and results are bit-identical at
 //! every count.
 
@@ -27,12 +27,12 @@ use crate::candidate::{select_candidates, CandidateSet};
 use crate::classify::{Class, ThresholdClassifier};
 use crate::cluster::TransitiveClosure;
 use crate::error::DogmatixError;
+use crate::executor::{PairPlan, Verdict};
 use crate::filter::{NoFilter, ObjectFilter};
 use crate::heuristics::HeuristicExpr;
 use crate::mapping::Mapping;
 use crate::od::OdSet;
 use crate::output::clusters_to_xml;
-use crate::shard::{PairPlan, Verdict};
 use crate::sim::SoftIdfMeasure;
 use crate::stage::{
     Clusterer, ComparisonFilter, DescriptionSelector, FilterDecision, PairClassifier,
@@ -371,8 +371,7 @@ impl Dogmatix {
                 PairPlan::Pairs(&explicit)
             }
         };
-        let pairs_compared = plan.len();
-        let verdicts = self.score_plan(prepared.as_ref(), plan, false);
+        let (verdicts, pairs_compared) = self.score_plan(prepared.as_ref(), plan, false);
         drop(prepared);
         let mut duplicate_pairs = Vec::new();
         let mut possible_pairs = Vec::new();
@@ -490,14 +489,15 @@ impl Dogmatix {
     }
 
     /// Step 5: scores `plan` with this detector's classifier on its
-    /// [`Dogmatix::workers`]. See [`crate::shard`].
+    /// [`Dogmatix::workers`], returning the verdicts and the number of
+    /// pairs scored. See `crate::executor`.
     pub(crate) fn score_plan(
         &self,
         measure: &dyn PreparedMeasure,
         plan: PairPlan<'_>,
         keep_non_duplicates: bool,
-    ) -> Vec<Verdict> {
-        crate::shard::execute(
+    ) -> (Vec<Verdict>, usize) {
+        crate::executor::execute(
             plan,
             self.workers(),
             measure,
@@ -513,8 +513,8 @@ impl Dogmatix {
     pub(crate) fn workers(&self) -> usize {
         match self.threads {
             1 => 1,
-            0 => crate::shard::available_cores(),
-            t => t.min(crate::shard::available_cores()),
+            0 => crate::executor::available_cores(),
+            t => t.min(crate::executor::available_cores()),
         }
     }
 
@@ -679,8 +679,7 @@ impl DogmatixBuilder {
     /// [`OdSet`] through — [`crate::backend::InMemoryBackend`] semantics
     /// are the default; a [`crate::backend::paged::PagedBackend`]
     /// persists the store to a versioned, paged snapshot file or
-    /// warm-starts from one under a memory budget (CLI: `--index-save` /
-    /// `--index-load`).
+    /// warm-starts from one (CLI: `--index-save` / `--index-load`).
     ///
     /// A configured backend bypasses the session's OD cache (the backend
     /// owns the state now); the incremental path keeps building in
@@ -815,7 +814,7 @@ mod tests {
 
     #[test]
     fn worker_count_is_capped_at_the_cores() {
-        let cores = crate::shard::available_cores();
+        let cores = crate::executor::available_cores();
         let workers = |threads| Dogmatix::builder().threads(threads).build().workers();
         assert_eq!(workers(usize::MAX), cores);
         assert_eq!(workers(0), cores);

@@ -112,9 +112,9 @@ impl FilterDecision {
 /// comparison step.
 ///
 /// The resulting pair plan is an *input* to execution, not a
-/// prescription of it: the one pair-plan executor of [`crate::shard`]
-/// scores it on the detector's `threads` workers, with bit-identical
-/// results at every count.
+/// prescription of it: the crate's one pair-plan executor scores it on
+/// the detector's `threads` workers, with bit-identical results at
+/// every count.
 pub trait ComparisonFilter: fmt::Debug + Send + Sync {
     /// Decides which candidates and pairs survive.
     fn reduce(&self, ods: &OdSet) -> FilterDecision;

@@ -49,7 +49,6 @@ use dogmatix_textsim::idf;
 
 pub mod audit;
 pub(crate) mod codec;
-pub mod pool;
 
 /// A byte range into a store's shared arena.
 ///

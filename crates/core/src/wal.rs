@@ -404,13 +404,11 @@ fn recover_at(
     if let Some(store) = ckpt.store {
         // The snapshot carries no node ids; re-attach the freshly
         // selected candidates (row i of the store was built from
-        // candidate i — both follow document order). Every page is
-        // resident: the image is already in memory.
+        // candidate i — both follow document order).
         let ods = odset_from_paged_bytes(
             store.snapshot,
             &store.selections,
             doc_fingerprint(session.doc()),
-            usize::MAX,
         )
         .and_then(|ods| attach_candidates(ods, &session.candidates().nodes))
         .map_err(|e| wal_err(format!("checkpoint store snapshot rejected: {e}")))?;

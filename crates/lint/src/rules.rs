@@ -273,7 +273,7 @@ fn no_column_index(file: &SourceFile, allows: &Allows, out: &mut Vec<Finding>) {
 }
 
 /// no-hot-alloc: the pairwise hot paths (sim.rs, simgraph.rs, filter.rs,
-/// and shard.rs, the Step 5 pair-plan executor), the probe lookup path
+/// and executor.rs, the Step 5 pair-plan executor), the probe lookup path
 /// (probe.rs), and the textsim comparison kernels
 /// (levenshtein, bounds, ned, myers, kernel) must not allocate Strings
 /// per comparison — `format!`, `String::new` and friends,
@@ -283,7 +283,7 @@ fn no_hot_alloc(file: &SourceFile, allows: &Allows, out: &mut Vec<Finding>) {
         "crates/core/src/sim.rs",
         "crates/core/src/simgraph.rs",
         "crates/core/src/filter.rs",
-        "crates/core/src/shard.rs",
+        "crates/core/src/executor.rs",
         "crates/core/src/probe.rs",
         "crates/textsim/src/levenshtein.rs",
         "crates/textsim/src/bounds.rs",

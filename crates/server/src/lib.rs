@@ -52,8 +52,7 @@
 //! `INDEX-SAVE <path>` exports the live session's term index as a
 //! standalone **DXTS snapshot** via
 //! [`IncrementalSession::save_paged_index`] — a file the CLI can later
-//! serve under a memory budget with `--index-load` (and `--mem-budget`). The
-//! request rides the writer queue like `CHECKPOINT`, so it observes a
+//! warm-start from with `--index-load`. The request rides the writer queue like `CHECKPOINT`, so it observes a
 //! batch boundary: the exported index always describes a fully applied,
 //! clean session state.
 

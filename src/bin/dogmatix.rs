@@ -25,12 +25,8 @@
 //!                          building it
 //!   --index-load <file>    warm-start from a snapshot written by
 //!                          --index-save (skips extraction + interning;
-//!                          the corpus and selection must match); pages
-//!                          stream through a pinned buffer pool instead
-//!                          of reading the whole index into RAM
-//!   --mem-budget <bytes>   buffer-pool memory budget for --index-load
-//!                          (default 67108864 = 64 MiB); peak pool
-//!                          residency never exceeds it
+//!                          the corpus and selection must match); the
+//!                          store is decoded one checked page at a time
 //!   --no-filter            disable comparison reduction
 //!   --fuse                 also write a fused (deduplicated) document
 //!   --output <file>        write the dup-cluster XML here (default stdout)
@@ -90,7 +86,6 @@ struct Options {
     blocking: Option<Blocking>,
     index_save: Option<String>,
     index_load: Option<String>,
-    mem_budget: Option<usize>,
     use_filter: bool,
     fuse: bool,
     output: Option<String>,
@@ -136,7 +131,6 @@ const KNOWN_FLAGS: &[&str] = &[
     "--blocking",
     "--index-save",
     "--index-load",
-    "--mem-budget",
     "--no-filter",
     "--fuse",
     "--output",
@@ -178,7 +172,6 @@ fn parse_args() -> Result<Options, String> {
         blocking: None,
         index_save: None,
         index_load: None,
-        mem_budget: None,
         use_filter: true,
         fuse: false,
         output: None,
@@ -221,13 +214,6 @@ fn parse_args() -> Result<Options, String> {
             "--blocking" => opts.blocking = Some(value("--blocking")?.parse()?),
             "--index-save" => opts.index_save = Some(value("--index-save")?),
             "--index-load" => opts.index_load = Some(value("--index-load")?),
-            "--mem-budget" => {
-                opts.mem_budget = Some(
-                    value("--mem-budget")?
-                        .parse()
-                        .map_err(|_| "--mem-budget must be a byte count".to_string())?,
-                )
-            }
             "--no-filter" => opts.use_filter = false,
             "--fuse" => opts.fuse = true,
             "--output" => opts.output = Some(value("--output")?),
@@ -265,9 +251,6 @@ fn parse_args() -> Result<Options, String> {
             "--index-save/--index-load apply to batch runs, not --deltas replay".to_string(),
         );
     }
-    if opts.mem_budget.is_some() && opts.index_load.is_none() {
-        return Err("--mem-budget only applies to --index-load".to_string());
-    }
     if opts.probe.is_some() && opts.deltas.is_some() {
         return Err("--probe is a one-shot point-query, not a --deltas replay".to_string());
     }
@@ -279,7 +262,7 @@ const HELP: &str = "usage: dogmatix <input.xml> --type <NAME> \
 [--heuristic rd:<r>|ra:<r>|kc:<k>|auto] [--exp 1..8] \
 [--theta-tuple f] [--theta-cand f] [--threads N (0 = all cores, capped at them)] \
 [--blocking qgram|lsh] [--no-filter] [--fuse] \
-[--index-save f | --index-load f [--mem-budget bytes]] \
+[--index-save f | --index-load f] \
 [--output out.xml] [--deltas script.txt] \
 [--probe '<xml>' [--probe-k N]] [--emit-queries]";
 
@@ -370,12 +353,8 @@ fn run(opts: Options) -> Result<(), String> {
         eprintln!("note: term-index snapshot will be written to {path}");
     }
     if let Some(path) = &opts.index_load {
-        let mem_budget = opts.mem_budget.unwrap_or(64 << 20);
-        builder = builder.index_backend(PagedBackend::open(path, mem_budget));
-        eprintln!(
-            "note: warm-starting from term-index snapshot {path} \
-             under a {mem_budget} B pool budget"
-        );
+        builder = builder.index_backend(PagedBackend::open(path));
+        eprintln!("note: warm-starting from term-index snapshot {path}");
     }
     let dx = builder.build();
 

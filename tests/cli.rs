@@ -229,7 +229,11 @@ fn unknown_flag_is_named_and_corrected() {
     assert!(stderr.contains("unknown flag '--thread'"), "{stderr}");
     assert!(stderr.contains("did you mean '--threads'?"), "{stderr}");
     // Retired flags: old scripts fail loudly and name the flag.
-    for (name, value) in [("shards", "4"), ("edit-kernel", "scalar")] {
+    for (name, value) in [
+        ("shards", "4"),
+        ("edit-kernel", "scalar"),
+        ("mem-budget", "8192"),
+    ] {
         let flag = format!("--{name}");
         let out = dogmatix()
             .arg(&paths.input)
@@ -365,8 +369,6 @@ fn index_save_then_load_produces_identical_output() {
     assert_eq!(cold, warm, "snapshot warm start must be bit-identical");
     let stderr = String::from_utf8_lossy(&load_out.stderr);
     assert!(stderr.contains("warm-starting"), "{stderr}");
-    // Without --mem-budget the load runs under the 64 MiB default.
-    assert!(stderr.contains("67108864 B pool budget"), "{stderr}");
     let _ = std::fs::remove_dir_all(&paths.dir);
 }
 
@@ -508,15 +510,13 @@ fn index_paged_save_then_load_produces_identical_output() {
     );
     let cold = std::fs::read_to_string(&paths.output).expect("output written");
 
-    // Warm start through the buffer pool under a deliberately small
-    // budget (two 4 KiB frames) — must still be bit-identical.
+    // Warm start from the paged file — must be bit-identical.
     let warm_path = paths.dir.join("warm-paged.xml");
     let load_out = dogmatix()
         .arg(&paths.input)
         .args(["--type", "MOVIE"])
         .args(["--mapping", paths.mapping.to_str().unwrap()])
         .args(["--index-load", index.to_str().unwrap()])
-        .args(["--mem-budget", "8192"])
         .args(["--output", warm_path.to_str().unwrap()])
         .output()
         .expect("binary runs");
@@ -525,44 +525,8 @@ fn index_paged_save_then_load_produces_identical_output() {
         "{}",
         String::from_utf8_lossy(&load_out.stderr)
     );
-    assert!(String::from_utf8_lossy(&load_out.stderr).contains("8192 B pool budget"));
     let warm = std::fs::read_to_string(&warm_path).expect("warm output written");
-    assert_eq!(cold, warm, "budgeted warm start must be bit-identical");
+    assert_eq!(cold, warm, "paged warm start must be bit-identical");
 
-    let _ = std::fs::remove_dir_all(&paths.dir);
-}
-
-#[test]
-fn paged_flags_are_validated() {
-    let paths = write_sample();
-    // --mem-budget only bounds a load's buffer pool.
-    for flags in [
-        &["--index-save", "a.index", "--mem-budget", "8192"][..],
-        &["--mem-budget", "8192"][..],
-    ] {
-        let out = dogmatix()
-            .arg(&paths.input)
-            .args(["--type", "MOVIE"])
-            .args(flags)
-            .output()
-            .expect("binary runs");
-        assert!(!out.status.success());
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains("--mem-budget only applies to --index-load"),
-            "{stderr}"
-        );
-    }
-
-    // Non-numeric budgets are named, not panicked over.
-    let out = dogmatix()
-        .arg(&paths.input)
-        .args(["--type", "MOVIE"])
-        .args(["--index-load", "a.index"])
-        .args(["--mem-budget", "lots"])
-        .output()
-        .expect("binary runs");
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--mem-budget must be a byte count"));
     let _ = std::fs::remove_dir_all(&paths.dir);
 }

@@ -756,10 +756,12 @@ fn checkpoint_command_truncates_the_log_and_is_refused_without_a_wal() {
 // ---- INDEX-SAVE: exporting the live index as a paged snapshot ---------
 
 #[test]
-fn index_save_exports_a_paged_snapshot_the_point_reader_can_serve() {
-    use dogmatix_repro::core::backend::paged::PagedReader;
+fn index_save_exports_the_replica_snapshot_and_it_warm_starts() {
+    use dogmatix_repro::core::backend::paged::PagedBackend;
+    use dogmatix_repro::core::DocumentDelta;
+    use dogmatix_repro::eval::setup::THETA_CAND;
 
-    let (handle, fixture, _dx) = boot_cd(
+    let (handle, fixture, dx) = boot_cd(
         8,
         ServerConfig {
             workers: 2,
@@ -811,14 +813,46 @@ fn index_save_exports_a_paged_snapshot_the_point_reader_can_serve() {
         "atomic install must not leave a temp file"
     );
 
-    // The export is a genuine out-of-core snapshot: the point reader
-    // serves it under a budget far below the file size.
-    let mut reader = PagedReader::open(&out, 4096).expect("open exported snapshot");
-    assert!(reader.term_count() > 0, "exported index must have terms");
-    for term in 0..reader.term_count().min(16) as u32 {
-        let text = reader.term_text(term).expect("point-read term text");
-        assert!(!text.is_empty(), "term {term} decoded empty");
-        reader.postings(term).expect("point-read postings");
-    }
+    // An in-process replica runs the same detector over the same
+    // corpus and applies the same delta: its export is the same file,
+    // byte for byte.
+    let mut replica = dx
+        .incremental_session(fixture.doc.clone(), fixture.schema.clone(), CD_TYPE)
+        .expect("open replica session");
+    dx.detect_delta(&mut replica, &[])
+        .expect("replica initial detect");
+    let delta = DocumentDelta::parse(&format!("insert /discs {fragment}")).expect("parse delta");
+    dx.detect_delta(&mut replica, &[delta])
+        .expect("replica ingest");
+    let mut replica_out = out.as_os_str().to_os_string();
+    replica_out.push(".replica");
+    let replica_out = std::path::PathBuf::from(replica_out);
+    replica
+        .save_paged_index(&replica_out)
+        .expect("replica export");
+    assert!(
+        std::fs::read(&out).unwrap() == std::fs::read(&replica_out).unwrap(),
+        "the server export must equal the replica's"
+    );
+
+    // The export warm-starts a batch run over the replica's document to
+    // the in-memory result.
+    let warm = Dogmatix::builder()
+        .mapping(fixture.mapping.clone())
+        .heuristic(HeuristicExpr::r_distant_descendants(2))
+        .theta_tuple(THETA_TUPLE)
+        .theta_cand(THETA_CAND)
+        .threads(0)
+        .no_filter()
+        .index_backend(PagedBackend::open(&out))
+        .build()
+        .run(replica.doc(), &fixture.schema, CD_TYPE)
+        .expect("warm start from the export");
+    let in_memory = dx
+        .run(replica.doc(), &fixture.schema, CD_TYPE)
+        .expect("in-memory run");
+    assert_eq!(warm, in_memory, "warm start diverged");
+    assert_eq!(warm.candidates.len(), fixture.gold.len() + 1);
     let _ = std::fs::remove_file(&out);
+    let _ = std::fs::remove_file(&replica_out);
 }

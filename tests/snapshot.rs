@@ -15,7 +15,6 @@
 use dogmatix_repro::core::backend::paged::PagedBackend;
 use dogmatix_repro::core::heuristics::{table4_heuristic, HeuristicExpr};
 use dogmatix_repro::core::pipeline::{DetectionResult, Dogmatix};
-use dogmatix_repro::core::store::pool::{BlockId, BufferPool, PageSource};
 use dogmatix_repro::core::DogmatixError;
 use dogmatix_repro::datagen::datasets::{dataset1_sized, dataset2_sized};
 use dogmatix_repro::eval::setup;
@@ -60,9 +59,6 @@ fn movie_corpus() -> Corpus {
     }
 }
 
-/// A roomy pool budget: every page of the test snapshots fits.
-const ROOMY: usize = 1 << 20;
-
 fn detector(c: &Corpus, backend: Option<PagedBackend>, threads: usize) -> Dogmatix {
     let mut b = Dogmatix::builder()
         .mapping(c.mapping.clone())
@@ -89,7 +85,7 @@ fn cd_and_movie_snapshot_roundtrips_are_bit_identical() {
         let in_memory = run(&corpus, None, 1);
         let saved = run(&corpus, Some(PagedBackend::save(&path)), 1);
         assert_eq!(in_memory, saved, "{tag}: save run must not change results");
-        let loaded = run(&corpus, Some(PagedBackend::open(&path, ROOMY)), 1);
+        let loaded = run(&corpus, Some(PagedBackend::open(&path)), 1);
         assert_eq!(in_memory, loaded, "{tag}: warm start must be bit-identical");
         assert!(
             !in_memory.duplicate_pairs.is_empty(),
@@ -97,7 +93,7 @@ fn cd_and_movie_snapshot_roundtrips_are_bit_identical() {
         );
         // The snapshot path composes with the worker pool.
         for threads in [1usize, 2, 0] {
-            let pooled = run(&corpus, Some(PagedBackend::open(&path, ROOMY)), threads);
+            let pooled = run(&corpus, Some(PagedBackend::open(&path)), threads);
             assert_eq!(
                 in_memory, pooled,
                 "{tag}: snapshot on {threads} threads diverged"
@@ -118,7 +114,7 @@ fn snapshot_reload_across_detector_instances_matches() {
         doc: Document::parse(&corpus.doc.to_xml()).expect("roundtrip parse"),
         ..cd_corpus()
     };
-    let warm = run(&reparsed, Some(PagedBackend::open(&path, ROOMY)), 1);
+    let warm = run(&reparsed, Some(PagedBackend::open(&path)), 1);
     assert_eq!(cold.duplicate_pairs, warm.duplicate_pairs);
     assert_eq!(cold.clusters, warm.clusters);
     assert_eq!(cold.f_values, warm.f_values);
@@ -136,7 +132,7 @@ fn wrong_version_snapshots_are_rejected() {
         mutated[4..8].copy_from_slice(&version.to_le_bytes());
         let path = temp_path("wrong-version");
         std::fs::write(&path, &mutated).expect("write");
-        let err = detector(&corpus, Some(PagedBackend::open(&path, ROOMY)), 1)
+        let err = detector(&corpus, Some(PagedBackend::open(&path)), 1)
             .run(&corpus.doc, &corpus.schema, corpus.rw_type)
             .unwrap_err();
         let _ = std::fs::remove_file(&path);
@@ -159,7 +155,7 @@ fn snapshot_against_a_mutated_corpus_is_rejected() {
         doc: bigger_doc,
         ..cd_corpus()
     };
-    let err = detector(&bigger, Some(PagedBackend::open(&path, ROOMY)), 1)
+    let err = detector(&bigger, Some(PagedBackend::open(&path)), 1)
         .run(&bigger.doc, &bigger.schema, bigger.rw_type)
         .unwrap_err();
     let _ = std::fs::remove_file(&path);
@@ -194,7 +190,7 @@ fn snapshot_against_edited_content_same_shape_is_rejected() {
         doc: Document::parse(&edited).expect("edited corpus parses"),
         ..cd_corpus()
     };
-    let err = detector(&edited_corpus, Some(PagedBackend::open(&path, ROOMY)), 1)
+    let err = detector(&edited_corpus, Some(PagedBackend::open(&path)), 1)
         .run(
             &edited_corpus.doc,
             &edited_corpus.schema,
@@ -233,9 +229,8 @@ fn reference_paged_snapshot() -> (Corpus, Vec<u8>) {
     (corpus, bytes)
 }
 
-/// A mutated image must be rejected (or be a no-op mutation) under a
-/// roomy pool and under a two-frame pool that evicts on every section
-/// — loading through either must never panic or return garbage.
+/// A mutated image must be rejected (or be a no-op mutation): loading
+/// it must never panic or return garbage.
 fn assert_paged_mutation_handled(
     corpus: &Corpus,
     original: &DetectionResult,
@@ -250,20 +245,18 @@ fn assert_paged_mutation_handled(
             .replace("::", "-")
     ));
     std::fs::write(&path, mutated).expect("write mutated paged snapshot");
-    for (reader, budget) in [("roomy pool", ROOMY), ("two-frame pool", 1024)] {
-        let outcome = detector(corpus, Some(PagedBackend::open(&path, budget)), 1).run(
-            &corpus.doc,
-            &corpus.schema,
-            corpus.rw_type,
-        );
-        match outcome {
-            Err(DogmatixError::Snapshot { .. }) => {}
-            Err(other) => panic!("{what} via {reader}: unexpected error kind {other}"),
-            Ok(result) => assert_eq!(
-                &result, original,
-                "{what} via {reader}: a mutation that loads must be a no-op mutation"
-            ),
-        }
+    let outcome = detector(corpus, Some(PagedBackend::open(&path)), 1).run(
+        &corpus.doc,
+        &corpus.schema,
+        corpus.rw_type,
+    );
+    match outcome {
+        Err(DogmatixError::Snapshot { .. }) => {}
+        Err(other) => panic!("{what}: unexpected error kind {other}"),
+        Ok(result) => assert_eq!(
+            &result, original,
+            "{what}: a mutation that loads must be a no-op mutation"
+        ),
     }
     let _ = std::fs::remove_file(&path);
 }
@@ -317,7 +310,7 @@ fn every_data_page_is_checksum_protected() {
         let mut mutated = bytes.clone();
         mutated[header_len + page * page_size] ^= 0x01;
         std::fs::write(&path, &mutated).expect("write");
-        let err = detector(&corpus, Some(PagedBackend::open(&path, ROOMY)), 1)
+        let err = detector(&corpus, Some(PagedBackend::open(&path)), 1)
             .run(&corpus.doc, &corpus.schema, corpus.rw_type)
             .unwrap_err();
         let msg = err.to_string();
@@ -356,125 +349,8 @@ fn failed_saves_leave_the_previous_snapshot_intact() {
     std::fs::remove_dir_all(&tmp).expect("clear squat");
 
     // And the surviving file still warm-starts bit-identically.
-    let warm = run(&corpus, Some(PagedBackend::open(&path, ROOMY)), 1);
+    let warm = run(&corpus, Some(PagedBackend::open(&path)), 1);
     assert_eq!(original, warm, "surviving snapshot diverged");
     assert!(!tmp.exists(), "temp artefact left behind");
     let _ = std::fs::remove_file(&path);
-}
-
-// ---- buffer-pool properties -------------------------------------------
-
-/// A deterministic in-memory page source: page `i` carries bytes
-/// derived from `i`, so any mix-up of frames is visible in the data.
-#[derive(Debug)]
-struct VecSource {
-    page_size: usize,
-    page_count: u32,
-}
-
-impl VecSource {
-    fn expected(&self, block: u32) -> Vec<u8> {
-        (0..self.page_size)
-            .map(|j| (block as usize).wrapping_mul(31).wrapping_add(j) as u8)
-            .collect()
-    }
-}
-
-impl PageSource for VecSource {
-    fn page_size(&self) -> usize {
-        self.page_size
-    }
-    fn page_count(&self) -> u32 {
-        self.page_count
-    }
-    fn read_page(&mut self, block: BlockId, buf: &mut [u8]) -> Result<(), DogmatixError> {
-        buf.copy_from_slice(&self.expected(block.0));
-        Ok(())
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(
-        std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(64)
-    ))]
-
-    /// Random access patterns keep pins balanced, the pool within its
-    /// budget, and every pinned page's bytes exactly its source page.
-    #[test]
-    fn pool_pins_balance_and_pages_stay_intact(
-        page_count in 2u32..40,
-        capacity in 1usize..8,
-        accesses in proptest::collection::vec(0u32..40, 1..200),
-    ) {
-        let page_size = 64;
-        let source = VecSource { page_size, page_count };
-        let expected: Vec<Vec<u8>> = (0..page_count).map(|b| source.expected(b)).collect();
-        let mut pool = BufferPool::new(Box::new(source), capacity * page_size)
-            .expect("pool admits at least one frame");
-        let mut held = std::collections::VecDeque::new();
-        for block in accesses {
-            let block = BlockId(block % page_count);
-            // Never hold more refs than frames: release the oldest
-            // first, like a scan cursor would.
-            if held.len() == pool.capacity_frames() {
-                pool.unpin(held.pop_front().expect("held page"));
-            }
-            let page = pool.pin(block).expect("pin within capacity");
-            prop_assert_eq!(
-                pool.data(&page),
-                expected[block.0 as usize].as_slice(),
-                "page bytes must match the source page"
-            );
-            held.push_back(page);
-            let s = pool.stats();
-            prop_assert_eq!(s.pins - s.unpins, held.len() as u64, "pins balance held refs");
-            prop_assert!(
-                s.resident_bytes <= capacity * page_size,
-                "resident {} exceeds budget {}", s.resident_bytes, capacity * page_size
-            );
-        }
-        for page in held.drain(..) {
-            pool.unpin(page);
-        }
-        let s = pool.stats();
-        prop_assert_eq!(s.pins, s.unpins, "all pins released");
-        prop_assert!(s.peak_resident_bytes <= capacity * page_size);
-        prop_assert!(pool.resident_pages() <= pool.capacity_frames());
-    }
-
-    /// A full pool refuses new pins rather than evicting a pinned
-    /// frame, and the refusal names the exhaustion; releasing one pin
-    /// un-wedges it without disturbing the surviving pins.
-    #[test]
-    fn pool_never_evicts_a_pinned_frame(capacity in 1usize..6, extra in 1u32..6) {
-        let page_size = 64;
-        let page_count = capacity as u32 + extra;
-        let source = VecSource { page_size, page_count };
-        let expected: Vec<Vec<u8>> = (0..page_count).map(|b| source.expected(b)).collect();
-        let mut pool = BufferPool::new(Box::new(source), capacity * page_size)
-            .expect("pool admits at least one frame");
-        let mut held: Vec<_> = (0..capacity as u32)
-            .map(|b| pool.pin(BlockId(b)).expect("fill the pool"))
-            .collect();
-        let err = pool.pin(BlockId(capacity as u32)).expect_err("pool is wedged");
-        prop_assert!(err.to_string().contains("frames pinned"), "{}", err);
-        // Every pinned page survived the refused eviction untouched.
-        for (b, page) in held.iter().enumerate() {
-            prop_assert_eq!(pool.data(page), expected[b].as_slice());
-        }
-        // One release frees exactly one frame — the evicted page is the
-        // released one, never one of the still-pinned survivors.
-        pool.unpin(held.remove(0));
-        let newcomer = pool.pin(BlockId(capacity as u32)).expect("unpin un-wedges the pool");
-        prop_assert_eq!(pool.data(&newcomer), expected[capacity].as_slice());
-        for (i, page) in held.iter().enumerate() {
-            prop_assert_eq!(pool.data(page), expected[i + 1].as_slice());
-        }
-        pool.unpin(newcomer);
-        for page in held.drain(..) {
-            pool.unpin(page);
-        }
-        let s = pool.stats();
-        prop_assert_eq!(s.pins, s.unpins);
-    }
 }
