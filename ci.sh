@@ -32,11 +32,15 @@ PROPTEST_CASES=128 cargo test -q --test incremental
 echo "==> worker-pool differential suite at CI depth (PROPTEST_CASES=128)"
 PROPTEST_CASES=128 cargo test -q --test parallel
 
-echo "==> snapshot round-trip + corruption suite at CI depth (PROPTEST_CASES=128)"
+echo "==> snapshot round-trip + refusal suite at CI depth (PROPTEST_CASES=128)"
 PROPTEST_CASES=128 cargo test -q --test snapshot
 
-echo "==> WAL kill-and-recover differential + corruption matrix at CI depth (PROPTEST_CASES=128)"
+echo "==> WAL kill-and-recover differential + log-tear matrix at CI depth (PROPTEST_CASES=128)"
 PROPTEST_CASES=128 cargo test -q --test wal
+
+echo "==> sealed-record corruption suite: snapshot file, checkpoint, store checkpoint"
+echo "    (flips, cuts, appended bytes, every envelope byte) at CI depth (PROPTEST_CASES=128)"
+PROPTEST_CASES=128 cargo test -q --test corruption
 
 echo "==> probe overlay vs append-last interning differential at CI depth (PROPTEST_CASES=512)"
 PROPTEST_CASES=512 cargo test -q --test probe_overlay
@@ -65,8 +69,8 @@ echo "    stay within the recorded throughput baseline)"
 cargo bench -q -p dogmatix_bench --bench wal >/dev/null
 test -s BENCH_wal.json || { echo "BENCH_wal.json was not written"; exit 1; }
 
-echo "==> paged-snapshot warm-start sanity (a v2 snapshot in 1 KiB pages must"
-echo "    save and warm-start bit-identically on one worker and on all cores)"
+echo "==> snapshot warm-start sanity (a sealed v3 snapshot must save and warm-start"
+echo "    bit-identically on one worker and on all cores; records the best-of-9 load time)"
 cargo bench -q -p dogmatix_bench --bench paged >/dev/null
 test -s BENCH_paged.json || { echo "BENCH_paged.json was not written"; exit 1; }
 

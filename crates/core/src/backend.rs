@@ -10,23 +10,24 @@
 //! * [`InMemoryBackend`] (the default) extracts and interns the corpus
 //!   into a fresh in-memory arena, exactly what
 //!   [`OdSet::build`] always did;
-//! * [`paged::PagedBackend`] persists the columnar store to a
-//!   **versioned, checksummed, paged snapshot file** and warm-starts
-//!   later runs from it, skipping extraction and interning entirely: a
-//!   load decodes the store into memory one checked page at a time. The
-//!   columnar layout makes this nearly free: a store *is* a handful of
-//!   flat arrays.
+//! * [`snapshot::SnapshotBackend`] persists the columnar store to a
+//!   **versioned, checksummed snapshot file** and warm-starts later
+//!   runs from it, skipping extraction and interning entirely: a load
+//!   streams the file through one fixed-size buffer and decodes the
+//!   store into memory. The columnar layout makes this nearly free: a
+//!   store *is* a handful of flat arrays.
 //!
 //! Backends are wired with
 //! [`crate::pipeline::DogmatixBuilder::index_backend`]; the CLI exposes
 //! them as `--index-save` / `--index-load`.
 //!
-//! There is one snapshot format, DXTS version 2 — fixed-size pages
-//! behind a checksummed page directory; see [`paged`] for the layout.
+//! There is one snapshot format, DXTS version 3 — one sealed record
+//! (magic, version, payload checksum, payload length) holding a meta
+//! record and the store's columns; see [`snapshot`] for the layout.
 //! WAL checkpoints ([`crate::wal`]) embed the same image.
 //!
-//! Loading validates magic, version, the header and per-page checksums,
-//! the exact file length, UTF-8 of the arena, and the structural
+//! Loading validates magic, version, the exact file length, a checksum
+//! over every payload byte, UTF-8 of the arena, and the structural
 //! invariants of every column (span bounds, CSR monotonicity, id
 //! ranges), so corrupted, truncated, or wrong-version files are
 //! rejected with a [`DogmatixError::Snapshot`] — never a panic. A
@@ -37,7 +38,7 @@
 //! corpus (`tests/snapshot.rs`, `tests/equivalence.rs`).
 //!
 //! ```no_run
-//! use dogmatix_core::backend::paged::PagedBackend;
+//! use dogmatix_core::backend::snapshot::SnapshotBackend;
 //! use dogmatix_core::pipeline::Dogmatix;
 //! use dogmatix_xml::{Document, Schema};
 //!
@@ -46,20 +47,20 @@
 //! // First run: build in memory and persist the term index.
 //! let cold = Dogmatix::builder()
 //!     .add_type("M", ["/db/m"])
-//!     .index_backend(PagedBackend::save("/tmp/dx.index"))
+//!     .index_backend(SnapshotBackend::save("/tmp/dx.index"))
 //!     .build()
 //!     .run(&doc, &schema, "M")?;
 //! // Warm start: no re-interning.
 //! let warm = Dogmatix::builder()
 //!     .add_type("M", ["/db/m"])
-//!     .index_backend(PagedBackend::open("/tmp/dx.index"))
+//!     .index_backend(SnapshotBackend::open("/tmp/dx.index"))
 //!     .build()
 //!     .run(&doc, &schema, "M")?;
 //! assert_eq!(cold, warm);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-pub mod paged;
+pub mod snapshot;
 
 use crate::error::DogmatixError;
 use crate::mapping::Mapping;
@@ -188,7 +189,7 @@ pub(crate) fn selection_fingerprint(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::paged::PagedBackend;
+    use crate::backend::snapshot::SnapshotBackend;
     use crate::pipeline::Dogmatix;
     use crate::store::Span;
     use dogmatix_xml::Schema;
@@ -217,10 +218,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("m.index");
         let (doc, schema) = corpus();
-        let cold = detector(PagedBackend::save(&path))
+        let cold = detector(SnapshotBackend::save(&path))
             .run(&doc, &schema, "M")
             .unwrap();
-        let warm = detector(PagedBackend::open(&path))
+        let warm = detector(SnapshotBackend::open(&path))
             .run(&doc, &schema, "M")
             .unwrap();
         assert_eq!(cold, warm);
@@ -237,27 +238,27 @@ mod tests {
         let dir = std::env::temp_dir().join("dx_backend_reject");
         std::fs::create_dir_all(&dir).unwrap();
         let (doc, schema) = corpus();
-        let missing = detector(PagedBackend::open(dir.join("nope.index")))
+        let missing = detector(SnapshotBackend::open(dir.join("nope.index")))
             .run(&doc, &schema, "M")
             .unwrap_err();
         assert!(matches!(missing, DogmatixError::Snapshot { .. }));
 
         let bad_magic = dir.join("bad_magic.index");
         std::fs::write(&bad_magic, b"NOPE????????????????????????").unwrap();
-        let err = detector(PagedBackend::open(&bad_magic))
+        let err = detector(SnapshotBackend::open(&bad_magic))
             .run(&doc, &schema, "M")
             .unwrap_err();
         assert!(err.to_string().contains("magic"), "{err}");
 
         // A valid file with a bumped version must be rejected.
         let path = dir.join("versioned.index");
-        detector(PagedBackend::save(&path))
+        detector(SnapshotBackend::save(&path))
             .run(&doc, &schema, "M")
             .unwrap();
         let mut data = std::fs::read(&path).unwrap();
         data[4] = 0xFE;
         std::fs::write(&path, data).unwrap();
-        let err = detector(PagedBackend::open(&path))
+        let err = detector(SnapshotBackend::open(&path))
             .run(&doc, &schema, "M")
             .unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
@@ -290,12 +291,12 @@ mod tests {
         let tmp = dir.join("target.index.tmp");
         let _ = std::fs::remove_file(&tmp);
         std::fs::create_dir_all(&tmp).unwrap();
-        let err = paged::install(&path, b"new contents").unwrap_err();
+        let err = snapshot::install(&path, b"new contents").unwrap_err();
         assert!(matches!(err, DogmatixError::Snapshot { .. }), "{err}");
         assert_eq!(std::fs::read(&path).unwrap(), b"previous contents");
         std::fs::remove_dir_all(&tmp).unwrap();
         // With the obstruction gone the write lands and cleans up.
-        paged::install(&path, b"new contents").unwrap();
+        snapshot::install(&path, b"new contents").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"new contents");
         assert!(!tmp.exists(), "temp file must not survive a save");
         let _ = std::fs::remove_dir_all(&dir);
@@ -307,7 +308,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("m.index");
         let (doc, schema) = corpus();
-        detector(PagedBackend::save(&path))
+        detector(SnapshotBackend::save(&path))
             .run(&doc, &schema, "M")
             .unwrap();
         // A different selection describes the corpus differently: the
@@ -315,7 +316,7 @@ mod tests {
         let err = Dogmatix::builder()
             .add_type("M", ["/db/m"])
             .selector(crate::stage::ManualSelection::new().with("/db/m", ["/db/m/t"]))
-            .index_backend(PagedBackend::open(&path))
+            .index_backend(SnapshotBackend::open(&path))
             .build()
             .run(&doc, &schema, "M")
             .unwrap_err();

@@ -688,26 +688,25 @@ impl IncrementalSession {
     /// Exports the session's current term index as a snapshot at
     /// `path`, installed atomically (tmp + rename). It is the same DXTS
     /// image a WAL checkpoint embeds, written as a standalone file that
-    /// [`crate::backend::paged::PagedBackend`] or `--index-load` can
+    /// [`crate::backend::snapshot::SnapshotBackend`] or `--index-load` can
     /// later warm-start from.
     ///
     /// Only a *clean* session can be exported: the store must describe
     /// the current document, so pending deltas (or a session that never
     /// ran a detection) are an error, not a silently stale dump. Returns
     /// the size of the written image in bytes.
-    pub fn save_paged_index(&self, path: &std::path::Path) -> Result<u64, DogmatixError> {
+    pub fn save_index(&self, path: &std::path::Path) -> Result<u64, DogmatixError> {
         let (ods, selections) = self.clean_store().ok_or_else(|| DogmatixError::Snapshot {
             message: "cannot export the term index: the session has pending deltas \
                           or no completed detection — run a detection first"
                 .into(),
         })?;
-        let image = crate::backend::paged::paged_snapshot_to_bytes(
+        let image = crate::backend::snapshot::snapshot_to_bytes(
             ods,
             &selections,
             crate::backend::doc_fingerprint(self.doc()),
-            crate::backend::paged::DEFAULT_PAGE_SIZE,
         )?;
-        crate::backend::paged::install(path, &image)?;
+        crate::backend::snapshot::install(path, &image)?;
         Ok(image.len() as u64)
     }
 

@@ -677,8 +677,8 @@ impl DogmatixBuilder {
 
     /// Sets the term-index backend the detector acquires its columnar
     /// [`OdSet`] through — [`crate::backend::InMemoryBackend`] semantics
-    /// are the default; a [`crate::backend::paged::PagedBackend`]
-    /// persists the store to a versioned, paged snapshot file or
+    /// are the default; a [`crate::backend::snapshot::SnapshotBackend`]
+    /// persists the store to a versioned, checksummed snapshot file or
     /// warm-starts from one (CLI: `--index-save` / `--index-load`).
     ///
     /// A configured backend bypasses the session's OD cache (the backend

@@ -8,7 +8,7 @@
 //! append-only, checksummed log **before** it is applied, and a
 //! periodic *checkpoint* persists the session's base state (document +
 //! the interned term store of the last run, as an embedded
-//! [`crate::backend::paged`] snapshot image). Recovery loads the latest
+//! [`crate::backend::snapshot`] image). Recovery loads the latest
 //! checkpoint and replays the log suffix — by the differential
 //! guarantee of the incremental pipeline (incremental == batch,
 //! `tests/incremental.rs`), the recovered session is **bit-identical**
@@ -42,17 +42,20 @@
 //! fsync, rename) holding the LSN, the session kind (real-world type +
 //! schema mode), the full document, and — when the session is clean —
 //! the interned store as an embedded DXTS snapshot image
-//! ([`crate::backend::paged`], version 2, default page size), wrapped
-//! in a 24-byte envelope (magic `DXCK`, version, checksum, length). The
-//! log is then truncated: recovery costs O(deltas since last
-//! checkpoint), not O(history). Loading validates the checkpoint
-//! checksum, the embedded snapshot's own version, header and page
-//! checksums and audit, and the document fingerprint binding the two.
+//! ([`crate::backend::snapshot`], version 3), sealed in the same
+//! 24-byte envelope a snapshot file uses (magic `DXCK`, version,
+//! checksum, length). The log is then truncated: recovery costs
+//! O(deltas since last checkpoint), not O(history). Loading validates
+//! the checkpoint checksum, the embedded snapshot's own version,
+//! checksum and audit, and the document fingerprint binding the two;
+//! the image is decoded in place, straight from the checkpoint buffer.
 //! The image carries its own version, so the checkpoint envelope's
 //! [`WAL_VERSION`] describes only the envelope and payload layout.
 //!
 //! Frames, deltas and checkpoints are written and read through the
-//! shared little-endian codec (`store::codec`): every length a writer
+//! shared little-endian codec (`store::codec`), which also owns the
+//! checkpoint's sealed envelope; a log frame keeps its own trailing
+//! checksum, which is what finds a torn tail. Every length a writer
 //! stores is checked against the limit its reader enforces, so
 //! [`Wal::append`] refuses a frame over 1 GiB up front instead of
 //! acknowledging a frame recovery would drop as a torn tail.
@@ -95,12 +98,12 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-use crate::backend::paged::{odset_from_paged_bytes, paged_snapshot_to_bytes, DEFAULT_PAGE_SIZE};
+use crate::backend::snapshot::{odset_from_snapshot, snapshot_to_bytes};
 use crate::backend::{attach_candidates, doc_fingerprint};
 use crate::error::DogmatixError;
 use crate::incremental::{DocumentDelta, IncrementalSession};
 use crate::mapping::Mapping;
-use crate::store::codec::{self, put_str, put_u32, put_u64, Cursor};
+use crate::store::codec::{self, put_str, put_u32, put_u64, Cursor, SealError};
 use dogmatix_xml::{Document, Schema};
 use std::collections::{BTreeSet, HashMap};
 use std::io::{Seek as _, SeekFrom, Write as _};
@@ -381,8 +384,15 @@ fn recover_at(
     schema: Option<Schema>,
     policy: FsyncPolicy,
 ) -> Result<Recovery, DogmatixError> {
-    let ckpt = read_checkpoint(&checkpoint_path(path))?;
-    let doc = Document::parse(&ckpt.doc_xml).map_err(|e| {
+    let ckpt_path = checkpoint_path(path);
+    let ckpt_bytes = std::fs::read(&ckpt_path).map_err(|e| {
+        wal_err(format!(
+            "cannot read checkpoint {}: {e}",
+            ckpt_path.display()
+        ))
+    })?;
+    let ckpt = parse_checkpoint(&ckpt_bytes, &ckpt_path)?;
+    let doc = Document::parse(ckpt.doc_xml).map_err(|e| {
         wal_err(format!(
             "checkpoint document failed to re-parse (checksum passed — format bug?): {e}"
         ))
@@ -393,20 +403,20 @@ fn recover_at(
                 "checkpoint session inferred its schema — recover with schema: None",
             ));
         }
-        IncrementalSession::with_inferred_schema(doc, mapping, &ckpt.rw_type)?
+        IncrementalSession::with_inferred_schema(doc, mapping, ckpt.rw_type)?
     } else {
         let schema = schema.ok_or_else(|| {
             wal_err("checkpoint session used a fixed schema — pass it to recover")
         })?;
-        IncrementalSession::new(doc, schema, mapping, &ckpt.rw_type)?
+        IncrementalSession::new(doc, schema, mapping, ckpt.rw_type)?
     };
 
     if let Some(store) = ckpt.store {
         // The snapshot carries no node ids; re-attach the freshly
         // selected candidates (row i of the store was built from
         // candidate i — both follow document order).
-        let ods = odset_from_paged_bytes(
-            store.snapshot,
+        let ods = odset_from_snapshot(
+            store.image,
             &store.selections,
             doc_fingerprint(session.doc()),
         )
@@ -680,19 +690,20 @@ fn decode_delta(payload: &[u8]) -> Result<DocumentDelta, String> {
 
 // ---- checkpoint -------------------------------------------------------
 
-struct CheckpointStore {
+struct CheckpointStore<'a> {
     selections: HashMap<String, BTreeSet<String>>,
-    /// A complete DXTS snapshot image (its own header, directory, page
-    /// checksums and pages).
-    snapshot: Vec<u8>,
+    /// A complete, sealed DXTS snapshot image.
+    image: &'a [u8],
 }
 
-struct Checkpoint {
+/// A parsed checkpoint, borrowing its text and its store image from the
+/// checkpoint file's bytes.
+struct Checkpoint<'a> {
     lsn: u64,
-    rw_type: String,
+    rw_type: &'a str,
     infer_schema: bool,
-    doc_xml: String,
-    store: Option<CheckpointStore>,
+    doc_xml: &'a str,
+    store: Option<CheckpointStore<'a>>,
 }
 
 /// The checkpoint sidecar of a log file.
@@ -731,65 +742,40 @@ fn write_checkpoint(
                     string(&mut payload, p, "selected path")?;
                 }
             }
-            let image = paged_snapshot_to_bytes(
-                ods,
-                &selections,
-                doc_fingerprint(session.doc()),
-                DEFAULT_PAGE_SIZE,
-            )?;
+            let image = snapshot_to_bytes(ods, &selections, doc_fingerprint(session.doc()))?;
             put_u64(&mut payload, image.len() as u64);
             payload.extend_from_slice(&image);
         }
         None => payload.push(0),
     }
 
-    let mut out = Vec::with_capacity(payload.len() + 24);
-    out.extend_from_slice(CKPT_MAGIC);
-    put_u32(&mut out, WAL_VERSION);
-    put_u64(&mut out, codec::checksum(&payload));
-    put_u64(&mut out, payload.len() as u64);
-    out.extend_from_slice(&payload);
-
     let path = checkpoint_path(log_path);
-    codec::atomic_write(&path, &out)
+    codec::atomic_write(&path, &codec::seal(CKPT_MAGIC, WAL_VERSION, &payload))
         .map_err(|e| wal_err(format!("cannot write checkpoint {}: {e}", path.display())))
 }
 
-/// Reads and validates the checkpoint file. Any corruption here is
-/// fatal: without a trusted base state there is nothing to replay onto.
-fn read_checkpoint(path: &Path) -> Result<Checkpoint, DogmatixError> {
-    let data = std::fs::read(path)
-        .map_err(|e| wal_err(format!("cannot read checkpoint {}: {e}", path.display())))?;
-    let mut envelope = Cursor::new(&data);
-    if data.len() < 24 || envelope.take(4).ok() != Some(&CKPT_MAGIC[..]) {
-        return Err(wal_err(format!(
+/// Validates and parses the bytes of the checkpoint file at `path`. Any
+/// corruption here is fatal: without a trusted base state there is
+/// nothing to replay onto.
+fn parse_checkpoint<'a>(data: &'a [u8], path: &Path) -> Result<Checkpoint<'a>, DogmatixError> {
+    let payload = codec::unseal(data, CKPT_MAGIC, WAL_VERSION).map_err(|e| match e {
+        SealError::Magic => wal_err(format!(
             "{} is not a DogmatiX checkpoint (bad magic)",
             path.display()
-        )));
-    }
-    let fail = |e: String| wal_err(format!("checkpoint corrupted: {e}"));
-    let version = envelope.u32().map_err(fail)?;
-    if version != WAL_VERSION {
-        return Err(wal_err(format!(
+        )),
+        SealError::Version(version) => wal_err(format!(
             "unsupported checkpoint version {version} (this build reads {WAL_VERSION})"
-        )));
-    }
-    let stored = envelope.u64().map_err(fail)?;
-    let payload_len = envelope.u64().map_err(fail)?;
-    let payload = envelope
-        .take(data.len() - 24)
-        .ok()
-        .filter(|p| p.len() as u64 == payload_len)
-        .ok_or_else(|| wal_err("checkpoint truncated: payload shorter than header claims"))?;
-    if codec::checksum(payload) != stored {
-        return Err(wal_err("checkpoint corrupted: checksum mismatch"));
-    }
+        )),
+        SealError::Damaged(m) => wal_err(format!("checkpoint {m}")),
+        SealError::Io(e) => wal_err(format!("cannot read checkpoint {}: {e}", path.display())),
+    })?;
 
+    let fail = |e: String| wal_err(format!("checkpoint corrupted: {e}"));
     let r = &mut Cursor::new(payload);
     let lsn = r.u64().map_err(fail)?;
-    let rw_type = r.str().map_err(fail)?;
+    let rw_type = r.str_ref().map_err(fail)?;
     let infer_schema = r.u8().map_err(fail)? != 0;
-    let doc_xml = r.str().map_err(fail)?;
+    let doc_xml = r.str_ref().map_err(fail)?;
     let has_store = r.u8().map_err(fail)? != 0;
     let store = if has_store {
         let n = read_usize(r).map_err(fail)?;
@@ -804,11 +790,8 @@ fn read_checkpoint(path: &Path) -> Result<Checkpoint, DogmatixError> {
             selections.insert(key, sel);
         }
         let image_len = read_usize(r).map_err(fail)?;
-        let snapshot = r.take(image_len).map_err(fail)?.to_vec();
-        Some(CheckpointStore {
-            selections,
-            snapshot,
-        })
+        let image = r.take(image_len).map_err(fail)?;
+        Some(CheckpointStore { selections, image })
     } else {
         None
     };
@@ -1065,15 +1048,15 @@ mod tests {
         wal.checkpoint(&s).unwrap();
         drop(wal);
         // Relabel the embedded image (found by its DXTS magic) as the
-        // retired flat version 1, and re-seal the envelope checksum so
-        // only the image's own version check can object.
+        // retired version 2 or an unknown 4, and re-seal the envelope
+        // checksum so only the image's own version check can object.
         let ckpt = checkpoint_path(&log);
         let mut data = std::fs::read(&ckpt).unwrap();
         let at = data
             .windows(4)
             .position(|w| w == b"DXTS")
             .expect("clean checkpoint embeds a store image");
-        for version in [1u32, 3] {
+        for version in [2u32, 4] {
             data[at + 4..at + 8].copy_from_slice(&version.to_le_bytes());
             let sum = codec::checksum(&data[24..]);
             data[8..16].copy_from_slice(&sum.to_le_bytes());
@@ -1083,7 +1066,7 @@ mod tests {
             assert!(matches!(err, DogmatixError::Wal { .. }), "{err}");
             let msg = err.to_string();
             assert!(msg.contains(&format!("version {version}")), "{msg}");
-            assert!(msg.contains("version 2"), "{msg}");
+            assert!(msg.contains("version 3"), "{msg}");
         }
     }
 

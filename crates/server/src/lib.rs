@@ -51,7 +51,7 @@
 //!
 //! `INDEX-SAVE <path>` exports the live session's term index as a
 //! standalone **DXTS snapshot** via
-//! [`IncrementalSession::save_paged_index`] — a file the CLI can later
+//! [`IncrementalSession::save_index`] — a file the CLI can later
 //! warm-start from with `--index-load`. The request rides the writer queue like `CHECKPOINT`, so it observes a
 //! batch boundary: the exported index always describes a fully applied,
 //! clean session state.
@@ -132,7 +132,7 @@ enum WriterMsg {
     /// A `CHECKPOINT` request; the writer answers with the covered LSN.
     Checkpoint(Sender<Result<u64, DogmatixError>>),
     /// An `INDEX-SAVE` request: export the clean session store as a
-    /// paged (v2) snapshot; the writer answers with the written bytes.
+    /// sealed DXTS snapshot; the writer answers with the written bytes.
     IndexSave {
         path: PathBuf,
         reply: Sender<Result<u64, DogmatixError>>,
@@ -459,9 +459,9 @@ fn writer_loop(
         }
         for (path, reply) in index_saves {
             // Runs after the batch above, so the session is at a batch
-            // boundary: `save_paged_index` sees the clean store of the
+            // boundary: `save_index` sees the clean store of the
             // detection that batch published.
-            let _ = reply.send(session.save_paged_index(&path));
+            let _ = reply.send(session.save_index(&path));
         }
     }
     // Whatever the exit path, nothing acknowledged may be un-synced.

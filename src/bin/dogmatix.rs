@@ -20,13 +20,13 @@
 //!                          provable superset at θ_tuple) or banded
 //!                          MinHash LSH (48 bands × 2 rows)
 //!   --index-save <file>    persist the columnar term index to a
-//!                          versioned, paged snapshot (fixed-size pages
-//!                          behind a checksummed page directory) after
-//!                          building it
+//!                          versioned snapshot (one checksummed record)
+//!                          after building it
 //!   --index-load <file>    warm-start from a snapshot written by
 //!                          --index-save (skips extraction + interning;
 //!                          the corpus and selection must match); the
-//!                          store is decoded one checked page at a time
+//!                          file is streamed through one fixed-size
+//!                          buffer and checked before it is used
 //!   --no-filter            disable comparison reduction
 //!   --fuse                 also write a fused (deduplicated) document
 //!   --output <file>        write the dup-cluster XML here (default stdout)
@@ -61,7 +61,7 @@
 //! `detect`. The dup-cluster output reflects the final state.
 
 use dogmatix_repro::core::auto;
-use dogmatix_repro::core::backend::paged::PagedBackend;
+use dogmatix_repro::core::backend::snapshot::SnapshotBackend;
 use dogmatix_repro::core::filter::{MinHashLshBlocking, QGramBlocking};
 use dogmatix_repro::core::fusion::{fuse_clusters, FusionConfig};
 use dogmatix_repro::core::heuristics::{table4_heuristic, HeuristicExpr};
@@ -349,11 +349,11 @@ fn run(opts: Options) -> Result<(), String> {
         None => {}
     }
     if let Some(path) = &opts.index_save {
-        builder = builder.index_backend(PagedBackend::save(path));
+        builder = builder.index_backend(SnapshotBackend::save(path));
         eprintln!("note: term-index snapshot will be written to {path}");
     }
     if let Some(path) = &opts.index_load {
-        builder = builder.index_backend(PagedBackend::open(path));
+        builder = builder.index_backend(SnapshotBackend::open(path));
         eprintln!("note: warm-starting from term-index snapshot {path}");
     }
     let dx = builder.build();

@@ -504,14 +504,20 @@ fn index_paged_save_then_load_produces_identical_output() {
     let image = std::fs::read(&index).expect("snapshot written");
     assert_eq!(&image[0..4], b"DXTS", "magic");
     assert_eq!(
-        u32::from_le_bytes([image[4], image[5], image[6], image[7]]),
-        2,
-        "--index-save writes the paged format, version 2"
+        u32::from_le_bytes(image[4..8].try_into().unwrap()),
+        3,
+        "--index-save writes the sealed format, version 3"
+    );
+    let declared = u64::from_le_bytes(image[16..24].try_into().unwrap());
+    assert_eq!(
+        image.len() as u64,
+        24 + declared,
+        "the file is the 24-byte envelope plus the declared payload"
     );
     let cold = std::fs::read_to_string(&paths.output).expect("output written");
 
-    // Warm start from the paged file — must be bit-identical.
-    let warm_path = paths.dir.join("warm-paged.xml");
+    // Warm start from the sealed file — must be bit-identical.
+    let warm_path = paths.dir.join("warm-sealed.xml");
     let load_out = dogmatix()
         .arg(&paths.input)
         .args(["--type", "MOVIE"])
@@ -526,7 +532,7 @@ fn index_paged_save_then_load_produces_identical_output() {
         String::from_utf8_lossy(&load_out.stderr)
     );
     let warm = std::fs::read_to_string(&warm_path).expect("warm output written");
-    assert_eq!(cold, warm, "paged warm start must be bit-identical");
+    assert_eq!(cold, warm, "snapshot warm start must be bit-identical");
 
     let _ = std::fs::remove_dir_all(&paths.dir);
 }

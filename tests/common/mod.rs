@@ -1,11 +1,16 @@
 //! Helpers shared by the integration suites (`properties.rs`,
-//! `incremental.rs`, `parallel.rs`, `similar_graph.rs`): the
+//! `incremental.rs`, `parallel.rs`, `similar_graph.rs`, ...): the
 //! `PROPTEST_CASES` override, the miniature record corpus the
-//! differential properties run on, and its dirty-duplicate variant.
+//! differential properties run on, and its dirty-duplicate variant;
+//! plus the snapshot and write-ahead-log fixtures of `snapshot.rs`,
+//! `wal.rs` and `corruption.rs`.
 //!
 //! Each test binary compiles its own copy, so not every binary uses
 //! every item.
 #![allow(dead_code)]
+
+pub mod snapshot;
+pub mod wal;
 
 use dogmatix_repro::xml::Document;
 use proptest::prelude::*;

@@ -205,13 +205,11 @@ fn sweep_over_one_session_matches_independent_runs() {
 }
 
 /// The snapshot-backend path: a run that persists its term index and a
-/// run warm-started from that snapshot (under the CLI's default 64 MiB
-/// pool budget, where every page stays resident) must both equal the
-/// in-memory result exactly — on both corpora, on one worker and on
-/// several.
+/// run warm-started from that snapshot must both equal the in-memory
+/// result exactly — on both corpora, on one worker and on several.
 #[test]
 fn snapshot_warm_start_equivalence_on_both_corpora() {
-    use dogmatix_repro::core::backend::paged::PagedBackend;
+    use dogmatix_repro::core::backend::snapshot::SnapshotBackend;
 
     let cd = {
         let (doc, _) = dataset1_sized(21, 60);
@@ -239,7 +237,7 @@ fn snapshot_warm_start_equivalence_on_both_corpora() {
             "dogmatix-equivalence-{}-{tag}.index",
             std::process::id()
         ));
-        let build = |backend: Option<PagedBackend>, threads: usize| {
+        let build = |backend: Option<SnapshotBackend>, threads: usize| {
             let mut b = Dogmatix::builder()
                 .mapping(mapping.clone())
                 .heuristic(heuristic.clone())
@@ -256,12 +254,12 @@ fn snapshot_warm_start_equivalence_on_both_corpora() {
             !reference.duplicate_pairs.is_empty(),
             "{tag} has duplicates"
         );
-        let saved = build(Some(PagedBackend::save(&path)), 1);
+        let saved = build(Some(SnapshotBackend::save(&path)), 1);
         assert_eq!(reference, saved, "{tag}: save path diverged");
-        let warm = build(Some(PagedBackend::open(&path)), 1);
+        let warm = build(Some(SnapshotBackend::open(&path)), 1);
         assert_eq!(reference, warm, "{tag}: warm start diverged");
         for threads in [2usize, 0] {
-            let pooled_warm = build(Some(PagedBackend::open(&path)), threads);
+            let pooled_warm = build(Some(SnapshotBackend::open(&path)), threads);
             assert_eq!(
                 reference, pooled_warm,
                 "{tag}: warm start on {threads} threads diverged"
@@ -453,12 +451,12 @@ fn edit_kernel_equivalence_on_both_corpora() {
     }
 }
 
-/// The paged (v2) backend is a drop-in: on both corpora, on one worker
-/// and on several, a warm start from a snapshot spread over many small
-/// pages is bit-identical to the in-memory build.
+/// The snapshot backend is a drop-in: on both corpora, on one worker
+/// and on several, a warm start from a sealed DXTS v3 snapshot is
+/// bit-identical to the in-memory build.
 #[test]
 fn paged_backend_equivalence_on_both_corpora() {
-    use dogmatix_repro::core::backend::paged::PagedBackend;
+    use dogmatix_repro::core::backend::snapshot::SnapshotBackend;
 
     let cd = {
         let (doc, _) = dataset1_sized(21, 60);
@@ -483,10 +481,10 @@ fn paged_backend_equivalence_on_both_corpora() {
     };
     for (tag, (doc, schema, mapping, heuristic, rw_type)) in [("cd", cd), ("movie", movie)] {
         let path = std::env::temp_dir().join(format!(
-            "dogmatix-equivalence-paged-{}-{tag}.dxts2",
+            "dogmatix-equivalence-sealed-{}-{tag}.dxts",
             std::process::id()
         ));
-        let build = |backend: Option<PagedBackend>, threads: usize| {
+        let build = |backend: Option<SnapshotBackend>, threads: usize| {
             let mut b = Dogmatix::builder()
                 .mapping(mapping.clone())
                 .heuristic(heuristic.clone())
@@ -499,13 +497,13 @@ fn paged_backend_equivalence_on_both_corpora() {
             b.build().run(&doc, &schema, rw_type).expect("run succeeds")
         };
         let reference = build(None, 1);
-        let saved = build(Some(PagedBackend::save(&path).with_page_size(512)), 1);
-        assert_eq!(reference, saved, "{tag}: paged save path diverged");
+        let saved = build(Some(SnapshotBackend::save(&path)), 1);
+        assert_eq!(reference, saved, "{tag}: snapshot save path diverged");
         for threads in [1usize, 2, 0] {
-            let warm = build(Some(PagedBackend::open(&path)), threads);
+            let warm = build(Some(SnapshotBackend::open(&path)), threads);
             assert_eq!(
                 reference, warm,
-                "{tag}: paged warm start on {threads} threads diverged"
+                "{tag}: snapshot warm start on {threads} threads diverged"
             );
         }
         let _ = std::fs::remove_file(&path);

@@ -753,11 +753,11 @@ fn checkpoint_command_truncates_the_log_and_is_refused_without_a_wal() {
     remove_wal(&wal_path);
 }
 
-// ---- INDEX-SAVE: exporting the live index as a paged snapshot ---------
+// ---- INDEX-SAVE: exporting the live index as a snapshot ---------------
 
 #[test]
 fn index_save_exports_the_replica_snapshot_and_it_warm_starts() {
-    use dogmatix_repro::core::backend::paged::PagedBackend;
+    use dogmatix_repro::core::backend::snapshot::SnapshotBackend;
     use dogmatix_repro::core::DocumentDelta;
     use dogmatix_repro::eval::setup::THETA_CAND;
 
@@ -796,8 +796,8 @@ fn index_save_exports_the_replica_snapshot_and_it_warm_starts() {
     assert_eq!(client.request("SHUTDOWN"), "OK bye");
     handle.join();
 
-    // The reported size is the installed file, the image is the paged
-    // v2 format, and no temp file from the atomic install survives.
+    // The reported size is the installed file, and no temp file from the
+    // atomic install survives.
     let bytes: u64 = resp
         .split("bytes=")
         .nth(1)
@@ -827,9 +827,7 @@ fn index_save_exports_the_replica_snapshot_and_it_warm_starts() {
     let mut replica_out = out.as_os_str().to_os_string();
     replica_out.push(".replica");
     let replica_out = std::path::PathBuf::from(replica_out);
-    replica
-        .save_paged_index(&replica_out)
-        .expect("replica export");
+    replica.save_index(&replica_out).expect("replica export");
     assert!(
         std::fs::read(&out).unwrap() == std::fs::read(&replica_out).unwrap(),
         "the server export must equal the replica's"
@@ -844,7 +842,7 @@ fn index_save_exports_the_replica_snapshot_and_it_warm_starts() {
         .theta_cand(THETA_CAND)
         .threads(0)
         .no_filter()
-        .index_backend(PagedBackend::open(&out))
+        .index_backend(SnapshotBackend::open(&out))
         .build()
         .run(replica.doc(), &fixture.schema, CD_TYPE)
         .expect("warm start from the export");
