@@ -45,13 +45,14 @@ PROPTEST_CASES=128 cargo test -q --test corruption
 echo "==> probe overlay vs append-last interning differential at CI depth (PROPTEST_CASES=512)"
 PROPTEST_CASES=512 cargo test -q --test probe_overlay
 
-echo "==> zero-score skip soundness suite at CI depth (PROPTEST_CASES=256)"
+echo "==> zero-score skip and carried-graph soundness suite at CI depth (PROPTEST_CASES=256)"
 PROPTEST_CASES=256 cargo test -q --test similar_graph
 
 echo "==> edit-distance kernel differential suite at CI depth (PROPTEST_CASES=256)"
 PROPTEST_CASES=256 cargo test -q -p dogmatix_textsim --test kernel_differential
 
-echo "==> streaming bench sanity (delta replay must beat full re-detection)"
+echo "==> streaming bench sanity (delta replay must beat full re-detection in pairs"
+echo "    compared, and a CD title update must cost <= 0.25x a batch detect of the same state)"
 cargo bench -q -p dogmatix_bench --bench streaming >/dev/null
 
 echo "==> scaling bench sanity (columnar comparison phase must not regress"

@@ -19,8 +19,13 @@
 //!   only candidates touched by a delta are re-extracted — the term
 //!   table is then re-interned in one cheap pass so ids stay identical
 //!   to a batch build),
-//! * the previous run's **pair classifications**, replayed for every
-//!   pair whose similarity provably cannot have changed.
+//! * the previous run's **reported verdicts** (its duplicate and
+//!   possible pairs), replayed for every pair whose similarity provably
+//!   cannot have changed — a planned pair absent from them was a
+//!   non-duplicate and replays as one without an entry,
+//! * the previous run's **similar-term graph** (when the object filter
+//!   built one), renamed to the new term ids with only the new terms
+//!   joined ([`crate::simgraph`]).
 //!
 //! ## Which pairs must be re-compared?
 //!
@@ -30,17 +35,20 @@
 //!
 //! * a **field update** re-compares only pairs touching an *affected*
 //!   candidate — one that was edited, or one containing a term whose
-//!   posting list changed (its IDF moved). All other pairs replay their
-//!   cached similarity bit-for-bit;
+//!   posting list changed (its IDF moved) — plus the pairs of objects
+//!   the filter pruned last run, which no stored verdict covers. All
+//!   other pairs replay their cached verdict bit-for-bit;
 //! * an **object insert/remove** changes `|Ω|`, which shifts *every*
 //!   softIDF weight, so the comparison step falls back to a full
-//!   re-score (extraction and candidate caches still carry over).
+//!   re-score (extraction, candidate and graph caches still carry over).
 //!
-//! Comparison reduction (step 4) is always re-run — the object filter
-//! and blocking plans are global, and they cost about one similarity
-//! evaluation per *object*, not per pair. The classifier's verdicts are
-//! replayed per pair, so blocking filters compose: reuse applies to
-//! whatever pair plan the [`ComparisonFilter`] emits.
+//! Comparison reduction (step 4) is always re-run: one object can move
+//! every filter value through `|Ω|` or a term family. With the graph
+//! carried over, the object filter costs one pass over the terms and
+//! one over the tuples. The classifier's verdicts are replayed per
+//! pair, so blocking filters compose: under an all-pairs plan the pairs
+//! to re-score are generated row by row, and an explicit plan from a
+//! blocking [`ComparisonFilter`] is walked against the previous one.
 //!
 //! The contract "incremental result == batch result over the final
 //! state" is enforced by the differential property suite in
@@ -82,11 +90,11 @@ use crate::classify::Class;
 use crate::error::DogmatixError;
 use crate::executor::PairPlan;
 use crate::mapping::Mapping;
-use crate::od::{extract_raw_tuples, OdSet, RawTuple};
+use crate::od::{extract_raw_tuples, OdSet, RawTuple, TermId};
 use crate::pipeline::{selections_for_paths, DetectionResult, Dogmatix, RunStats};
 use crate::stage::{FilterDecision, PairClassifier, SimContext, SimilarityMeasure};
 use dogmatix_xml::{Document, NodeId, Schema};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// One edit against the session's document.
@@ -290,6 +298,14 @@ type SelectionKey = Vec<(String, Vec<String>)>;
 pub(crate) type CleanStore<'a> = (&'a Arc<OdSet>, HashMap<String, BTreeSet<String>>);
 
 /// State carried from the previous detection run.
+///
+/// Only the *reported* verdicts are kept: Step 6 outputs `Duplicate` and
+/// `Possible` pairs alone, so a pair of the previous plan found in
+/// neither list was `NonDuplicate` and needs no entry. (A classifier
+/// whose possible band starts at 0 reports every pair; the replay stays
+/// exact, it just stores them all.) The interned store carries the
+/// previous run's similar-term graph, which the next run renames
+/// instead of joining every term again.
 struct PrevRun {
     selection_key: SelectionKey,
     /// The stages the cached classifications were produced by. Holding
@@ -299,9 +315,16 @@ struct PrevRun {
     measure: Arc<dyn SimilarityMeasure>,
     classifier: Arc<dyn PairClassifier>,
     ods: Arc<OdSet>,
-    /// `(i, j) → (sim, class)` for every pair compared (or replayed) in
-    /// the previous run, including non-duplicates.
-    pair_classes: HashMap<(u32, u32), (f64, Class)>,
+    /// The previous run's duplicate pairs with their similarities,
+    /// sorted by `(i, j)`.
+    duplicate_pairs: Vec<(usize, usize, f64)>,
+    /// The previous run's possible pairs, sorted by `(i, j)`.
+    possible_pairs: Vec<(usize, usize, f64)>,
+    /// Which objects the filter pruned.
+    pruned: Vec<bool>,
+    /// The effective plan of a filter that returned an explicit one,
+    /// sorted; `None` means every pair of unpruned objects.
+    plan: Option<Vec<(usize, usize)>>,
 }
 
 impl PrevRun {
@@ -317,6 +340,37 @@ impl PrevRun {
             Arc::as_ptr(dx.classifier_stage()) as *const (),
         )
     }
+
+    /// Whether the previous run's plan held the pair `(i, j)`, `i < j`.
+    fn planned(&self, i: usize, j: usize) -> bool {
+        match &self.plan {
+            None => !self.pruned[i] && !self.pruned[j],
+            Some(plan) => plan.binary_search(&(i, j)).is_ok(),
+        }
+    }
+
+    /// Replays the previous verdict of a planned pair: pushes it to
+    /// `out` if it was reported, drops it if it was `NonDuplicate`.
+    fn replay(&self, i: usize, j: usize, out: &mut Reported) {
+        let find = |pairs: &[(usize, usize, f64)]| {
+            pairs
+                .binary_search_by_key(&(i, j), |&(a, b, _)| (a, b))
+                .ok()
+                .map(|k| pairs[k])
+        };
+        if let Some(pair) = find(&self.duplicate_pairs) {
+            out.duplicate_pairs.push(pair);
+        } else if let Some(pair) = find(&self.possible_pairs) {
+            out.possible_pairs.push(pair);
+        }
+    }
+}
+
+/// The verdicts a run reports: duplicate and possible pairs.
+#[derive(Default)]
+struct Reported {
+    duplicate_pairs: Vec<(usize, usize, f64)>,
+    possible_pairs: Vec<(usize, usize, f64)>,
 }
 
 /// A mutable detection session: owns the document, applies
@@ -839,8 +893,21 @@ pub(crate) fn detect_incremental(
     // filter and comparison stages index into it.
     crate::store::audit::audit_gate(&ods, "incremental OD re-interning");
 
-    // Step 4 is global and cheap (≈ one sim evaluation per object):
-    // always re-run it so pruning and pair plans track the new state.
+    // Term similarity depends only on the two strings and θ_tuple, so
+    // the previous run's similar-term graph carries over: renamed to the
+    // new term ids, with only the new terms joined. The filter and the
+    // measure then find it on the set as if they had built it.
+    let old_of_new = s.prev.as_ref().map(|prev| term_map(&prev.ods, &ods));
+    if let (Some(prev), Some(old_of_new)) = (&s.prev, &old_of_new) {
+        if let Some(graph) = prev.ods.cached_graph() {
+            ods.seed_similar_terms(graph.carry(&ods, old_of_new));
+        }
+    }
+
+    // Step 4 is re-run on every delta so pruning and pair plans track
+    // the new state: one object can flip every filter value through |Ω|
+    // or a term family. With the graph carried over, the object filter
+    // costs one family-size pass and one pass over the tuples.
     let FilterDecision {
         f_values,
         pruned,
@@ -848,66 +915,61 @@ pub(crate) fn detect_incremental(
     } = dx.filter_stage().reduce(&ods);
     let pruned_by_filter = pruned.iter().filter(|p| **p).count();
     let active: Vec<usize> = (0..n).filter(|i| !pruned[*i]).collect();
-
-    let effective: Vec<(usize, usize)> = match pairs {
-        Some(plan) => plan
+    let explicit: Option<Vec<(usize, usize)>> = pairs.map(|plan| {
+        let mut plan: Vec<(usize, usize)> = plan
             .into_iter()
             .filter(|(i, j)| !pruned[*i] && !pruned[*j])
-            .collect(),
-        None => {
-            let mut all = Vec::with_capacity(active.len() * active.len().saturating_sub(1) / 2);
-            for (a, &i) in active.iter().enumerate() {
-                for &j in &active[a + 1..] {
-                    all.push((i, j));
-                }
-            }
-            all
-        }
-    };
+            .collect();
+        plan.sort_unstable();
+        plan
+    });
+    let planned = explicit
+        .as_ref()
+        .map_or(active.len() * active.len().saturating_sub(1) / 2, Vec::len);
 
-    // Step 5: replay verdicts for pairs that provably cannot have
-    // changed, score the rest.
-    let affected = match (&s.prev, s.structure_changed) {
-        (Some(prev), false) => affected_candidates(n, s, prev, &ods),
-        _ => vec![true; n],
-    };
-    let mut reused: Vec<(usize, usize, f64, Class)> = Vec::new();
-    let mut to_score: Vec<(usize, usize)> = Vec::new();
-    for &(i, j) in &effective {
-        let cached = (!affected[i] && !affected[j])
-            .then_some(s.prev.as_ref())
-            .flatten()
-            .and_then(|p| p.pair_classes.get(&(i as u32, j as u32)));
-        match cached {
-            Some(&(sim, class)) => reused.push((i, j, sim, class)),
-            None => to_score.push((i, j)),
+    // Step 5: replay the verdicts of pairs that provably cannot have
+    // changed, score the rest. `None` scores the whole plan.
+    let mut out = Reported::default();
+    let prev = s.prev.as_ref().filter(|_| !s.structure_changed);
+    let to_score: Option<Vec<(usize, usize)>> = match (prev, &old_of_new, &explicit) {
+        (Some(prev), Some(old_of_new), Some(plan)) => {
+            let affected = affected_candidates(s, prev, &ods, old_of_new);
+            Some(rescore_walk(plan, prev, &affected, &mut out))
         }
-    }
+        (Some(prev), Some(old_of_new), None) if prev.plan.is_none() => {
+            let affected = affected_candidates(s, prev, &ods, old_of_new);
+            Some(rescore_rows(&active, &pruned, prev, &affected, &mut out))
+        }
+        // No previous run, a changed |Ω|, or a filter that went from an
+        // explicit plan to all pairs: score the whole plan.
+        _ => None,
+    };
 
     let prepared = dx.measure_stage().prepare(SimContext {
         doc: &s.doc,
         candidates: &s.candidates.nodes,
         ods: &ods,
     });
-    // Non-duplicate verdicts are kept so the next delta can replay them.
-    let (scored, pairs_compared) =
-        dx.score_plan(prepared.as_ref(), PairPlan::Pairs(&to_score), true);
+    let plan = match (&to_score, &explicit) {
+        (Some(pairs), _) | (None, Some(pairs)) => PairPlan::Pairs(pairs),
+        (None, None) => PairPlan::AllPairs(&active),
+    };
+    let (scored, pairs_compared) = dx.score_plan(prepared.as_ref(), plan, false);
     drop(prepared);
-    s.counters.pairs_scored += scored.len();
-    s.counters.pairs_reused += reused.len();
+    s.counters.pairs_scored += pairs_compared;
+    s.counters.pairs_reused += planned - pairs_compared;
 
-    let mut pair_classes: HashMap<(u32, u32), (f64, Class)> =
-        HashMap::with_capacity(reused.len() + scored.len());
-    let mut duplicate_pairs: Vec<(usize, usize, f64)> = Vec::new();
-    let mut possible_pairs: Vec<(usize, usize, f64)> = Vec::new();
-    for &(i, j, sim, class) in reused.iter().chain(scored.iter()) {
-        pair_classes.insert((i as u32, j as u32), (sim, class));
+    for (i, j, sim, class) in scored {
         match class {
-            Class::Duplicate => duplicate_pairs.push((i, j, sim)),
-            Class::Possible => possible_pairs.push((i, j, sim)),
+            Class::Duplicate => out.duplicate_pairs.push((i, j, sim)),
+            Class::Possible => out.possible_pairs.push((i, j, sim)),
             Class::NonDuplicate => {}
         }
     }
+    let Reported {
+        mut duplicate_pairs,
+        mut possible_pairs,
+    } = out;
     duplicate_pairs.sort_by_key(|p| (p.0, p.1));
     possible_pairs.sort_by_key(|p| (p.0, p.1));
 
@@ -916,9 +978,22 @@ pub(crate) fn detect_incremental(
         duplicate_pairs.iter().map(|(i, j, _)| (*i, *j)).collect();
     let clusters = dx.clusterer_stage().cluster(n, &pairs_only);
 
-    let result = DetectionResult {
-        candidates: s.candidates.nodes.clone(),
+    s.prev = Some(PrevRun {
+        selection_key,
+        measure: Arc::clone(dx.measure_stage()),
+        classifier: Arc::clone(dx.classifier_stage()),
         ods: Arc::clone(&ods),
+        duplicate_pairs: duplicate_pairs.clone(),
+        possible_pairs: possible_pairs.clone(),
+        pruned: pruned.clone(),
+        plan: explicit,
+    });
+    s.dirty.clear();
+    s.structure_changed = false;
+    s.counters.detect_runs += 1;
+    Ok(DetectionResult {
+        candidates: s.candidates.nodes.clone(),
+        ods,
         f_values,
         pruned,
         duplicate_pairs,
@@ -930,18 +1005,73 @@ pub(crate) fn detect_incremental(
             pairs_total: n * n.saturating_sub(1) / 2,
             pairs_compared,
         },
-    };
-    s.prev = Some(PrevRun {
-        selection_key,
-        measure: Arc::clone(dx.measure_stage()),
-        classifier: Arc::clone(dx.classifier_stage()),
-        ods,
-        pair_classes,
-    });
-    s.dirty.clear();
-    s.structure_changed = false;
-    s.counters.detect_runs += 1;
-    Ok(result)
+    })
+}
+
+/// The rescoring of an all-pairs plan after an all-pairs run, without
+/// materialising the plan. A pair of two objects that are unaffected
+/// and were unpruned last run was planned then and scores as then: its
+/// verdict is replayed from the stored ones (absent = `NonDuplicate`).
+/// Every other pair of active objects has an end that was affected or
+/// pruned, and is returned for scoring, sorted.
+fn rescore_rows(
+    active: &[usize],
+    pruned: &[bool],
+    prev: &PrevRun,
+    affected: &[bool],
+    out: &mut Reported,
+) -> Vec<(usize, usize)> {
+    let redo = |i: usize| affected[i] || prev.pruned[i];
+    let kept =
+        |&&(i, j, _): &&(usize, usize, f64)| !redo(i) && !redo(j) && !pruned[i] && !pruned[j];
+    out.duplicate_pairs
+        .extend(prev.duplicate_pairs.iter().filter(kept));
+    out.possible_pairs
+        .extend(prev.possible_pairs.iter().filter(kept));
+
+    let redo_active: Vec<usize> = active.iter().copied().filter(|&i| redo(i)).collect();
+    let mut to_score = Vec::new();
+    for (a, &i) in active.iter().enumerate() {
+        let row = if redo(i) {
+            &active[a + 1..]
+        } else {
+            &redo_active[redo_active.partition_point(|&j| j <= i)..]
+        };
+        to_score.extend(row.iter().map(|&j| (i, j)));
+    }
+    to_score
+}
+
+/// The rescoring of an explicit plan: a pair of two unaffected objects
+/// that the previous plan held replays its verdict; the rest are
+/// returned for scoring, in plan order.
+fn rescore_walk(
+    plan: &[(usize, usize)],
+    prev: &PrevRun,
+    affected: &[bool],
+    out: &mut Reported,
+) -> Vec<(usize, usize)> {
+    let mut to_score = Vec::new();
+    for &(i, j) in plan {
+        if !affected[i] && !affected[j] && prev.planned(i, j) {
+            prev.replay(i, j, out);
+        } else {
+            to_score.push((i, j));
+        }
+    }
+    to_score
+}
+
+/// The previous set's id of each of this set's terms, matched by
+/// real-world type and normalised value; `None` for a new term.
+fn term_map(prev: &OdSet, ods: &OdSet) -> Vec<Option<TermId>> {
+    let prev_ids: HashMap<(&str, &str), TermId> = prev
+        .terms()
+        .map(|t| ((t.rw_type(), t.norm()), t.id()))
+        .collect();
+    ods.terms()
+        .map(|t| prev_ids.get(&(t.rw_type(), t.norm())).copied())
+        .collect()
 }
 
 /// Which candidates may compare differently than in the previous run?
@@ -950,14 +1080,19 @@ pub(crate) fn detect_incremental(
 /// between the previous and current OD sets): a candidate is affected if
 /// it was edited, or if any term it contains gained/lost occurrences —
 /// including terms it *used to* contain — since posting lists feed the
-/// softIDF weights.
-fn affected_candidates(n: usize, s: &IncrementalSession, prev: &PrevRun, ods: &OdSet) -> Vec<bool> {
-    let mut affected = vec![false; n];
-    for (i, node) in s.candidates.nodes.iter().enumerate() {
-        if s.dirty.contains(node) {
-            affected[i] = true;
-        }
-    }
+/// softIDF weights. `old_of_new` is [`term_map`]'s matching.
+fn affected_candidates(
+    s: &IncrementalSession,
+    prev: &PrevRun,
+    ods: &OdSet,
+    old_of_new: &[Option<TermId>],
+) -> Vec<bool> {
+    let mut affected: Vec<bool> = s
+        .candidates
+        .nodes
+        .iter()
+        .map(|node| s.dirty.contains(node))
+        .collect();
     let mark = |postings: &[u32], affected: &mut Vec<bool>| {
         for &p in postings {
             if let Some(slot) = affected.get_mut(p as usize) {
@@ -965,28 +1100,23 @@ fn affected_candidates(n: usize, s: &IncrementalSession, prev: &PrevRun, ods: &O
             }
         }
     };
-    let prev_terms: HashMap<(&str, &str), &[u32]> = prev
-        .ods
-        .terms()
-        .map(|t| ((t.rw_type(), t.norm()), t.postings()))
-        .collect();
-    let mut new_keys: HashSet<(&str, &str)> = HashSet::with_capacity(ods.term_count());
+    let before = prev.ods.store();
+    let mut kept = vec![false; before.term_count()];
     for t in ods.terms() {
-        let key = (t.rw_type(), t.norm());
-        new_keys.insert(key);
-        match prev_terms.get(&key) {
-            Some(old) if *old == t.postings() => {}
+        match old_of_new[t.id().index()] {
             Some(old) => {
-                mark(old, &mut affected);
-                mark(t.postings(), &mut affected);
+                kept[old.index()] = true;
+                let old = before.postings(old.index());
+                if old != t.postings() {
+                    mark(old, &mut affected);
+                    mark(t.postings(), &mut affected);
+                }
             }
             None => mark(t.postings(), &mut affected),
         }
     }
-    for t in prev.ods.terms() {
-        if !new_keys.contains(&(t.rw_type(), t.norm())) {
-            mark(t.postings(), &mut affected);
-        }
+    for (old, _) in kept.iter().enumerate().filter(|(_, kept)| !**kept) {
+        mark(before.postings(old), &mut affected);
     }
     affected
 }

@@ -515,6 +515,19 @@ impl OdSet {
             .filter(|graph| graph.is_for(theta_tuple))
             .map(|graph| &**graph)
     }
+
+    /// The cached similar-term graph at whatever `θ_tuple` it was built
+    /// for. Never builds one.
+    pub(crate) fn cached_graph(&self) -> Option<&SimilarTerms> {
+        self.similar.0.get().map(|graph| &**graph)
+    }
+
+    /// Seeds the cache with a graph derived for this set elsewhere (the
+    /// incremental path carries the previous run's graph). A set that
+    /// already holds a graph keeps it.
+    pub(crate) fn seed_similar_terms(&self, graph: SimilarTerms) {
+        let _ = self.similar.0.set(Arc::new(graph));
+    }
 }
 
 /// Borrowing view of one object description.

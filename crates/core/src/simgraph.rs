@@ -30,6 +30,14 @@
 //! store audit. Only the object filter builds it; filters that never ask
 //! (LSH, q-gram, top-k, sorted neighbourhood, none) pay nothing.
 //!
+//! Term similarity depends only on the two strings and `θ_tuple`, so an
+//! incremental run does not join again: it carries the previous run's
+//! graph to the new set, renaming the surviving terms' edges, dropping
+//! the vanished terms' edges and joining only the new terms against
+//! their type's window under the same predicate. The support lists are
+//! filled afresh. The result equals a fresh build; `tests/similar_graph.rs`
+//! checks that after every delta of random streams.
+//!
 //! ```
 //! use dogmatix_core::od::{OdSet, RawTuple};
 //! let tuple = |v: &str| RawTuple {
@@ -79,6 +87,105 @@ impl SimilarTerms {
     /// ([`OdSet::similar_terms`] caches the result).
     pub(crate) fn build(ods: &OdSet, theta_tuple: f64) -> SimilarTerms {
         let (edge_starts, neighbours, pairs_examined) = join(ods, theta_tuple);
+        SimilarTerms::from_edges(ods, theta_tuple, edge_starts, neighbours, pairs_examined)
+    }
+
+    /// Carries this graph, built over an earlier set, to `ods`, where
+    /// `old_of_new[t]` is the earlier id of term `t` (same type and
+    /// norm) or `None` for a term the earlier set did not hold.
+    ///
+    /// Term similarity depends only on the two strings and `θ_tuple`, so
+    /// an edge between two surviving terms stays an edge: its ends are
+    /// renamed, and the edges of vanished terms dropped. Only the new
+    /// terms are joined, against their type's length window under
+    /// exactly [`join`]'s predicate; the support lists are then filled
+    /// afresh. The result equals [`SimilarTerms::build`] on `ods`, except
+    /// that [`SimilarTerms::pairs_examined`] counts the new terms'
+    /// window pairs only.
+    pub(crate) fn carry(&self, ods: &OdSet, old_of_new: &[Option<TermId>]) -> SimilarTerms {
+        let theta_tuple = f64::from_bits(self.theta_bits);
+        let store = ods.store();
+        let terms = store.term_count();
+        let mut new_of_old = vec![None; self.edge_starts.len() - 1];
+        for (t, old) in old_of_new.iter().enumerate() {
+            if let Some(old) = old {
+                new_of_old[old.index()] = Some(TermId::from_index(t));
+            }
+        }
+        let is_new = |t: usize| old_of_new[t].is_none();
+
+        // Each edge with a new end is found once: from its new end in
+        // window order, scanning later terms, or scanning earlier terms
+        // that are not new (an earlier new term's own scan finds it).
+        let order = window_order(ods);
+        let mut test = EdgeTest::new(ods, theta_tuple);
+        let mut fresh: Vec<(TermId, TermId)> = Vec::new();
+        let mut found = |a: usize, b: usize| {
+            let (ta, tb) = (TermId::from_index(a), TermId::from_index(b));
+            fresh.push((ta, tb));
+            fresh.push((tb, ta));
+        };
+        for range in type_ranges(ods, &order) {
+            for pos in range.clone() {
+                let x = order[pos];
+                if !is_new(x) {
+                    continue;
+                }
+                for &b in &order[pos + 1..range.end] {
+                    match test.edge(x, b) {
+                        None => break,
+                        Some(true) => found(x, b),
+                        Some(false) => {}
+                    }
+                }
+                for &a in order[range.start..pos].iter().rev() {
+                    if is_new(a) {
+                        continue;
+                    }
+                    match test.edge(a, x) {
+                        None => break,
+                        Some(true) => found(a, x),
+                        Some(false) => {}
+                    }
+                }
+            }
+        }
+        fresh.sort_unstable();
+
+        // Surviving edges renamed, fresh ones added; first-occurrence ids
+        // can reorder, so each list is sorted again.
+        let mut edge_starts = Vec::with_capacity(terms + 1);
+        edge_starts.push(0);
+        let mut neighbours = Vec::with_capacity(self.neighbours.len() + fresh.len());
+        let mut f = 0usize;
+        for (t, old) in old_of_new.iter().enumerate() {
+            let start = neighbours.len();
+            if let Some(old) = old {
+                neighbours.extend(
+                    self.neighbours(*old)
+                        .iter()
+                        .filter_map(|u| new_of_old[u.index()]),
+                );
+            }
+            while f < fresh.len() && fresh[f].0.index() == t {
+                neighbours.push(fresh[f].1);
+                f += 1;
+            }
+            neighbours[start..].sort_unstable();
+            edge_starts.push(neighbours.len());
+        }
+        SimilarTerms::from_edges(ods, theta_tuple, edge_starts, neighbours, test.examined)
+    }
+
+    /// Assembles the graph from its CSR neighbour lists and fills the
+    /// support lists.
+    fn from_edges(
+        ods: &OdSet,
+        theta_tuple: f64,
+        edge_starts: Vec<usize>,
+        neighbours: Vec<TermId>,
+        pairs_examined: usize,
+    ) -> SimilarTerms {
         let mut graph = SimilarTerms {
             theta_bits: theta_tuple.to_bits(),
             edge_starts,
@@ -145,7 +252,7 @@ impl SimilarTerms {
 
     /// `|postings(t) ∪ ⋃ postings(neighbours of t)|` for every term —
     /// the §5.2 family sizes, counted with one object stamp array.
-    pub(crate) fn family_sizes(&self, ods: &OdSet) -> Vec<usize> {
+    pub fn family_sizes(&self, ods: &OdSet) -> Vec<usize> {
         let store = ods.store();
         let mut stamp = vec![u32::MAX; ods.len()];
         (0..store.term_count())
@@ -195,57 +302,107 @@ impl SimilarTerms {
     }
 }
 
+/// Term ids ascending by `(type, length, id)`: per type, only a
+/// bounded window of longer terms can be within the threshold of a
+/// given term.
+fn window_order(ods: &OdSet) -> Vec<usize> {
+    let store = ods.store();
+    let mut order: Vec<usize> = (0..store.term_count()).collect();
+    order.sort_unstable_by_key(|&t| (store.type_id(t), store.char_len(t), t));
+    order
+}
+
+/// The positions of each type's terms in `order`.
+fn type_ranges<'a>(
+    ods: &'a OdSet,
+    order: &'a [usize],
+) -> impl Iterator<Item = std::ops::Range<usize>> + 'a {
+    let store = ods.store();
+    let mut start = 0usize;
+    std::iter::from_fn(move || {
+        let &first = order.get(start)?;
+        let ty = store.type_id(first);
+        let end = start + order[start..].partition_point(|&t| store.type_id(t) == ty);
+        let range = start..end;
+        start = end;
+        Some(range)
+    })
+}
+
+/// The join's test of one window pair: the length bound, then the bag
+/// bound, then the bounded kernel with `cap = strict_cap(θ, max len)`,
+/// keeping the last prepared pattern.
+struct EdgeTest<'a> {
+    ods: &'a OdSet,
+    theta_tuple: f64,
+    kernel: BitParallelKernel,
+    scratch: KernelScratch,
+    /// The term whose pattern `scratch` holds.
+    prepared: Option<usize>,
+    /// Pairs that passed the length bound.
+    examined: usize,
+}
+
+impl<'a> EdgeTest<'a> {
+    fn new(ods: &'a OdSet, theta_tuple: f64) -> Self {
+        EdgeTest {
+            ods,
+            theta_tuple,
+            kernel: BitParallelKernel,
+            scratch: KernelScratch::new(),
+            prepared: None,
+            examined: 0,
+        }
+    }
+
+    /// Whether `a` and `b` (same type, `a` first in window order, so `b`
+    /// is the longer side) are similar; `None` past the length bound.
+    /// `(lb − la) / lb` grows as the window moves away from `a` in
+    /// either direction, so the first `None` ends a window scan.
+    fn edge(&mut self, a: usize, b: usize) -> Option<bool> {
+        let store = self.ods.store();
+        let (la, lb) = (store.char_len(a), store.char_len(b));
+        let cap = strict_cap(self.theta_tuple, lb).filter(|&cap| lb - la <= cap)?;
+        self.examined += 1;
+        if bag_distance_lower_bound_with(store.norm(a), store.norm(b), &mut self.scratch.bounds)
+            > cap
+        {
+            return Some(false);
+        }
+        if self.prepared != Some(a) {
+            self.kernel.prepare(&mut self.scratch, store.norm(a), la);
+            self.prepared = Some(a);
+        }
+        Some(
+            self.kernel
+                .bounded_prepared(&mut self.scratch, store.norm(b), lb, cap)
+                .is_some(),
+        )
+    }
+}
+
 /// The length-windowed self-join of each type's terms. Returns the CSR
 /// neighbour lists and the number of window pairs examined.
 fn join(ods: &OdSet, theta_tuple: f64) -> (Vec<usize>, Vec<TermId>, usize) {
-    let store = ods.store();
-    let terms = store.term_count();
-    // Per type, ascending by length: only a bounded window of longer
-    // terms can be within the threshold of a given term.
-    let mut order: Vec<usize> = (0..terms).collect();
-    order.sort_unstable_by_key(|&t| (store.type_id(t), store.char_len(t), t));
-
-    let kernel = BitParallelKernel;
-    let mut scratch = KernelScratch::new();
+    let terms = ods.term_count();
+    let order = window_order(ods);
+    let mut test = EdgeTest::new(ods, theta_tuple);
     let mut edges: Vec<(TermId, TermId)> = Vec::new();
-    let mut examined = 0usize;
-    let mut type_start = 0usize;
-    while type_start < order.len() {
-        let ty = store.type_id(order[type_start]);
-        let type_end =
-            type_start + order[type_start..].partition_point(|&t| store.type_id(t) == ty);
-        for pos in type_start..type_end {
+    for range in type_ranges(ods, &order) {
+        for pos in range.clone() {
             let a = order[pos];
-            let la = store.char_len(a);
-            let mut prepared = false;
-            for &b in &order[pos + 1..type_end] {
-                let lb = store.char_len(b); // the longer side: lb >= la
-                                            // (lb − la) / lb grows with lb, so the first pair past
-                                            // the length bound ends the window.
-                let Some(cap) = strict_cap(theta_tuple, lb).filter(|&cap| lb - la <= cap) else {
-                    break;
-                };
-                examined += 1;
-                if bag_distance_lower_bound_with(store.norm(a), store.norm(b), &mut scratch.bounds)
-                    > cap
-                {
-                    continue;
-                }
-                if !prepared {
-                    kernel.prepare(&mut scratch, store.norm(a), la);
-                    prepared = true;
-                }
-                if kernel
-                    .bounded_prepared(&mut scratch, store.norm(b), lb, cap)
-                    .is_some()
-                {
-                    let (ta, tb) = (TermId::from_index(a), TermId::from_index(b));
-                    edges.push((ta, tb));
-                    edges.push((tb, ta));
+            for &b in &order[pos + 1..range.end] {
+                match test.edge(a, b) {
+                    None => break,
+                    Some(true) => {
+                        let (ta, tb) = (TermId::from_index(a), TermId::from_index(b));
+                        edges.push((ta, tb));
+                        edges.push((tb, ta));
+                    }
+                    Some(false) => {}
                 }
             }
         }
-        type_start = type_end;
     }
 
     edges.sort_unstable();
@@ -259,7 +416,7 @@ fn join(ods: &OdSet, theta_tuple: f64) -> (Vec<usize>, Vec<TermId>, usize) {
         edge_starts.push(e);
     }
     let neighbours = edges.into_iter().map(|(_, b)| b).collect();
-    (edge_starts, neighbours, examined)
+    (edge_starts, neighbours, test.examined)
 }
 
 #[cfg(test)]

@@ -12,7 +12,9 @@ mod common;
 
 use common::{build_doc, cases, record_strategy, MiniRecord};
 use dogmatix_repro::core::incremental::{DocumentDelta, IncrementalSession};
-use dogmatix_repro::core::pipeline::{DetectionResult, DetectionSession, Dogmatix};
+use dogmatix_repro::core::pipeline::{
+    DetectionResult, DetectionSession, Dogmatix, DogmatixBuilder,
+};
 use dogmatix_repro::core::wal::{FsyncPolicy, Wal};
 use dogmatix_repro::datagen::datasets::{dataset1_sized, dataset2_sized};
 use dogmatix_repro::eval::setup;
@@ -266,6 +268,36 @@ fn cluster_paths(doc: &Document, result: &DetectionResult) -> BTreeSet<BTreeSet<
         .collect()
 }
 
+/// Replays `ops` through a fresh session of `dx` over the corpus,
+/// checking the differential property after the initial run and after
+/// every delta. Returns the session and its last result.
+fn replay_against_batch(
+    dx: &Dogmatix,
+    records: &[MiniRecord],
+    ops: &[OpSpec],
+    label: &str,
+) -> (IncrementalSession, DetectionResult) {
+    let mut s = dx
+        .incremental_session_inferred(build_doc(records), "ITEM")
+        .expect("session opens");
+    let initial = dx.detect_delta(&mut s, &[]).expect("initial run");
+    assert_outcome_eq(&initial, &batch_rebuild(dx, &s), "initial run");
+
+    let mut last = initial;
+    for (step, op) in ops.iter().enumerate() {
+        let Some(delta) = concretize(op, &s) else {
+            continue;
+        };
+        let context = format!("step {step} {op:?} ({label})");
+        last = dx
+            .detect_delta(&mut s, std::slice::from_ref(&delta))
+            .unwrap_or_else(|e| panic!("delta failed at {context}: {e}"));
+        let full = batch_rebuild(dx, &s);
+        assert_outcome_eq(&last, &full, &context);
+    }
+    (s, last)
+}
+
 /// Replays `ops` over the corpus at one thread count, checking the
 /// differential property after every delta. Returns the final clusters
 /// (as path sets) for cross-thread comparison.
@@ -277,24 +309,7 @@ fn run_scenario(
     threads: usize,
 ) -> BTreeSet<BTreeSet<String>> {
     let dx = detector(theta_tuple, use_filter, threads);
-    let mut s = dx
-        .incremental_session_inferred(build_doc(records), "ITEM")
-        .expect("session opens");
-    let initial = dx.detect_delta(&mut s, &[]).expect("initial run");
-    assert_outcome_eq(&initial, &batch_rebuild(&dx, &s), "initial run");
-
-    let mut last = initial;
-    for (step, op) in ops.iter().enumerate() {
-        let Some(delta) = concretize(op, &s) else {
-            continue;
-        };
-        let context = format!("step {step} {op:?} (threads={threads})");
-        last = dx
-            .detect_delta(&mut s, std::slice::from_ref(&delta))
-            .unwrap_or_else(|e| panic!("delta failed at {context}: {e}"));
-        let full = batch_rebuild(&dx, &s);
-        assert_outcome_eq(&last, &full, &context);
-    }
+    let (s, last) = replay_against_batch(&dx, records, ops, &format!("threads={threads}"));
 
     // The final state must also survive serialise → reparse → batch
     // (index-free cluster comparison, since arena ids differ).
@@ -380,6 +395,266 @@ fn cd_delta_replay_compares_fewer_pairs_than_full_redetection() {
          ({incremental_compared} vs {full_compared})"
     );
     assert!(s.counters().pairs_reused > 0);
+}
+
+/// A fixed corpus and update/insert/remove stream for the directed
+/// replay regressions below: near-duplicate titles, a shared year, a
+/// clone inserted and an object removed.
+fn directed_corpus() -> (Vec<MiniRecord>, Vec<OpSpec>) {
+    let record = |title: &str, year: u16, names: &[&str]| MiniRecord {
+        title: title.into(),
+        year,
+        names: names.iter().map(|n| n.to_string()).collect(),
+    };
+    let records = vec![
+        record("midnight journey", 1999, &["Alice", "Bob"]),
+        record("midnigth journey", 1999, &["Alice"]),
+        record("silent harbour", 1987, &["Carol"]),
+        record("silent harbor", 1987, &[]),
+        record("open water", 2003, &["Dave"]),
+        record("quiet fields", 1975, &["Erin"]),
+    ];
+    let ops = vec![
+        OpSpec::CopyFrom { from: 0, to: 4 },
+        OpSpec::UpdateYear {
+            slot: 5,
+            year: 1987,
+        },
+        OpSpec::InsertClone { slot: 2 },
+        OpSpec::UpdateTitle {
+            slot: 3,
+            value: "open watter".into(),
+        },
+        OpSpec::Remove { slot: 1 },
+        OpSpec::AddPerson {
+            slot: 0,
+            name: "Carol".into(),
+        },
+        OpSpec::NoOpTitle { slot: 2 },
+        OpSpec::InsertFresh {
+            record: record("quiet fieldz", 1975, &["Erin"]),
+        },
+        OpSpec::RemovePerson { slot: 0 },
+    ];
+    (records, ops)
+}
+
+/// Case (a): an object the filter pruned last run, and that the delta
+/// does not touch, is unpruned when a similar term appears elsewhere.
+/// Its pairs were never planned, so no verdict is stored for them: they
+/// must be scored, not replayed as non-duplicates.
+#[test]
+fn unpruned_unaffected_objects_are_scored_not_replayed() {
+    use dogmatix_repro::core::classify::ThresholdClassifier;
+
+    let record = |title: &str, year: u16| MiniRecord {
+        title: title.into(),
+        year,
+        names: Vec::new(),
+    };
+    // Object 0 shares only its year with objects 1 and 2: f(0) ≈ 0.28,
+    // at most θ_cand = 0.55.
+    let records = vec![
+        record("zebra crossing", 1999),
+        record("harbour lights", 1999),
+        record("harbour lights", 1999),
+        record("open water", 1975),
+        record("quiet fields", 1966),
+        record("amber sky", 1950),
+    ];
+    // A possible band reports the (0, 1) pair, which shares a year.
+    let dx = Dogmatix::builder()
+        .add_type("ITEM", ["/db/item"])
+        .theta_tuple(0.15)
+        .classifier(ThresholdClassifier::with_possible_band(0.55, 0.05))
+        .build();
+    let mut s = dx
+        .incremental_session_inferred(build_doc(&records), "ITEM")
+        .expect("session opens");
+    let before = dx.detect_delta(&mut s, &[]).expect("initial run");
+    assert!(
+        before.pruned[0],
+        "object 0 starts pruned: {:?}",
+        before.f_values
+    );
+    assert!(!before.pruned[1] && !before.pruned[2]);
+
+    // Object 4 takes a title one typo away from object 0's.
+    let delta = DocumentDelta::UpdateText {
+        index: 4,
+        path: "title".into(),
+        occurrence: 0,
+        value: "zebra crossinq".into(),
+    };
+    let after = dx
+        .detect_delta(&mut s, std::slice::from_ref(&delta))
+        .expect("delta applies");
+    assert_outcome_eq(&after, &batch_rebuild(&dx, &s), "after the delta");
+    assert!(
+        !after.pruned[0],
+        "object 0 is unpruned: {:?}",
+        after.f_values
+    );
+    assert!(
+        after
+            .possible_pairs
+            .iter()
+            .chain(&after.duplicate_pairs)
+            .any(|&(i, j, sim)| (i, j) == (0, 1) && sim > 0.0),
+        "the newly planned pair (0, 1) was scored: {:?}",
+        after.possible_pairs
+    );
+    let active = after.pruned.iter().filter(|p| !**p).count();
+    assert!(
+        after.stats.pairs_compared < active * (active - 1) / 2,
+        "pairs of two clean objects were replayed"
+    );
+}
+
+/// Case (b): classifiers that report pairs down to a similarity of 0 —
+/// a `DualThreshold` whose possible band starts at 0, and a threshold
+/// classifier that reports every pair — replay exactly over an
+/// update/insert/remove stream.
+#[test]
+fn low_possible_bands_replay_exactly() {
+    use dogmatix_repro::core::classify::{DualThreshold, ThresholdClassifier};
+
+    let (records, ops) = directed_corpus();
+    for use_filter in [true, false] {
+        let dual = detector_with(use_filter, |b| {
+            b.classifier(DualThreshold::new(0.55, 0.0).expect("valid thresholds"))
+        });
+        let (_, last) = replay_against_batch(&dual, &records, &ops, "dual threshold, band at 0");
+        assert!(!last.possible_pairs.is_empty());
+        let every = detector_with(use_filter, |b| {
+            b.classifier(ThresholdClassifier::with_possible_band(0.55, 0.0))
+        });
+        let (_, last) = replay_against_batch(&every, &records, &ops, "every pair reported");
+        let active = last.pruned.iter().filter(|p| !**p).count();
+        assert_eq!(
+            last.duplicate_pairs.len() + last.possible_pairs.len(),
+            active * (active - 1) / 2
+        );
+    }
+}
+
+/// Case (c): the same stream under filters that return an explicit pair
+/// plan, which keep the plan walk: q-gram blocking, whose plan holds a
+/// pair by its two objects' terms alone, and top-k and sorted
+/// neighbourhood, whose plans can take in a pair of two untouched
+/// objects that the previous plan did not hold.
+#[test]
+fn explicit_plan_filters_replay_exactly() {
+    use dogmatix_repro::core::classify::DualThreshold;
+    use dogmatix_repro::core::filter::QGramBlocking;
+    use dogmatix_repro::core::neighborhood::{SortedNeighborhoodFilter, TopKBlocking};
+
+    let (records, ops) = directed_corpus();
+    let band_at_0 = || DualThreshold::new(0.55, 0.0).expect("valid thresholds");
+    let qgram = detector_with(true, |b| b.filter(QGramBlocking::new(2, 0.15)));
+    replay_against_batch(&qgram, &records, &ops, "q-gram blocking");
+    let qgram = detector_with(true, |b| {
+        b.filter(QGramBlocking::new(2, 0.15))
+            .classifier(band_at_0())
+    });
+    replay_against_batch(&qgram, &records, &ops, "q-gram blocking, band at 0");
+    for k in [1, 2] {
+        let top_k = detector_with(true, |b| {
+            b.filter(TopKBlocking::new(k)).classifier(band_at_0())
+        });
+        replay_against_batch(&top_k, &records, &ops, &format!("top-{k}, band at 0"));
+        let snm = detector_with(true, |b| {
+            b.filter(SortedNeighborhoodFilter::new(k + 1))
+                .classifier(band_at_0())
+        });
+        replay_against_batch(
+            &snm,
+            &records,
+            &ops,
+            &format!("window {}, band at 0", k + 1),
+        );
+    }
+}
+
+/// A θ_tuple 0.15 detector over the directed corpus with extra stages.
+fn detector_with(
+    use_filter: bool,
+    stages: impl FnOnce(DogmatixBuilder) -> DogmatixBuilder,
+) -> Dogmatix {
+    let builder = Dogmatix::builder()
+        .add_type("ITEM", ["/db/item"])
+        .theta_tuple(0.15);
+    let builder = if use_filter {
+        builder
+    } else {
+        builder.no_filter()
+    };
+    stages(builder).build()
+}
+
+/// What the ingest counters and `RunStats` mean on the CD corpus: over
+/// an update, an insert and a removal, `pairs_scored + pairs_reused`
+/// grows by exactly the run's planned pairs (every pair of unpruned
+/// objects under the object filter), and `pairs_compared` is exactly
+/// the pairs the run scored.
+#[test]
+fn cd_counters_account_for_every_planned_pair() {
+    let (doc, _) = dataset1_sized(13, 40);
+    let dx = Dogmatix::builder()
+        .mapping(setup::cd_mapping())
+        .theta_tuple(setup::THETA_TUPLE)
+        .theta_cand(setup::THETA_CAND)
+        .build();
+    let schema = setup::cd_schema();
+    let mut s = dx
+        .incremental_session(doc, schema.clone(), setup::CD_TYPE)
+        .expect("session opens");
+    dx.detect_delta(&mut s, &[]).expect("initial run");
+    let disc = s.doc().node_xml(s.candidates().nodes[3]);
+    let deltas = [
+        (
+            "update",
+            DocumentDelta::UpdateText {
+                index: 2,
+                path: "title".into(),
+                occurrence: 0,
+                value: "Retitled Album".into(),
+            },
+        ),
+        (
+            "insert",
+            DocumentDelta::InsertXml {
+                parent_path: "/discs".into(),
+                xml: disc,
+            },
+        ),
+        ("remove", DocumentDelta::RemoveObject { index: 7 }),
+    ];
+    for (kind, delta) in deltas {
+        let before = s.counters();
+        let result = dx
+            .detect_delta(&mut s, std::slice::from_ref(&delta))
+            .expect("delta applies");
+        let after = s.counters();
+        let active = result.pruned.iter().filter(|p| !**p).count();
+        let scored = after.pairs_scored - before.pairs_scored;
+        let reused = after.pairs_reused - before.pairs_reused;
+        assert_eq!(scored + reused, active * (active - 1) / 2, "{kind}");
+        assert_eq!(result.stats.pairs_compared, scored, "{kind}");
+        if kind == "update" {
+            assert!(reused > 0, "an update replays the clean pairs");
+        } else {
+            assert_eq!(reused, 0, "{kind} moves |Ω| and rescores every pair");
+        }
+        let state = s.doc().clone();
+        let session = DetectionSession::new(&state, &schema, dx.mapping(), setup::CD_TYPE).unwrap();
+        let full = dx.detect(&session).expect("batch runs");
+        assert_eq!(result.duplicate_pairs, full.duplicate_pairs, "{kind}");
+        assert!(
+            result.stats.pairs_compared <= full.stats.pairs_compared,
+            "{kind}"
+        );
+    }
 }
 
 /// Same differential on the integrated movie corpus (two candidate

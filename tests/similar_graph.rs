@@ -10,18 +10,25 @@
 //!   every active pair through a plain `SimEngine`, which reads no graph;
 //! * (c) the filter values equal a test-only reference of the §5.2 term
 //!   families: one `BTreeSet` of objects per term, grown by `ned_within`
-//!   over every same-type term pair.
+//!   over every same-type term pair;
+//! * (d) after every delta of a random insert/update/remove stream, the
+//!   graph an incremental session carried across the delta equals the
+//!   one a fresh batch set builds: every term's neighbours, every
+//!   object's support and every family size.
 //!
 //! Honours the `PROPTEST_CASES` environment override (ci.sh raises it).
 
 mod common;
 
-use common::{build_doc, cases, dirty_corpus_strategy, MiniRecord};
+use common::{
+    build_doc, cases, dirty_corpus_strategy, record_strategy, typo_strategy, MiniRecord, Typo,
+};
 use dogmatix_repro::core::classify::{Class, ThresholdClassifier};
 use dogmatix_repro::core::filter::MinHashLshBlocking;
 use dogmatix_repro::core::heuristics::HeuristicExpr;
-use dogmatix_repro::core::od::OdSet;
-use dogmatix_repro::core::pipeline::Dogmatix;
+use dogmatix_repro::core::incremental::{DocumentDelta, IncrementalSession};
+use dogmatix_repro::core::od::{OdSet, TermId};
+use dogmatix_repro::core::pipeline::{DetectionSession, Dogmatix};
 use dogmatix_repro::core::sim::{DistCache, SimEngine};
 use dogmatix_repro::core::{DetectionResult, Mapping};
 use dogmatix_repro::datagen::datasets::dataset1_sized;
@@ -180,6 +187,162 @@ proptest! {
         let theta = if theta > 0.0 { theta } else { 1e-3 };
         for t in [theta, 0.15, 0.55] {
             check_all(&records, t, theta_cand);
+        }
+    }
+}
+
+/// One step of a random delta stream over the `/db/item` corpus. Slots
+/// resolve modulo the live object count when the step is applied.
+#[derive(Debug, Clone)]
+enum GraphOp {
+    /// Retitle an object with a typo of another object's title: a new
+    /// term that is likely similar to a surviving one.
+    Retitle {
+        slot: usize,
+        from: usize,
+        typo: Typo,
+    },
+    /// Retitle an object with a fresh title (its old title may vanish).
+    Rename {
+        slot: usize,
+        title: String,
+    },
+    Insert {
+        record: MiniRecord,
+    },
+    Remove {
+        slot: usize,
+    },
+}
+
+fn graph_op_strategy() -> impl Strategy<Value = GraphOp> {
+    prop_oneof![
+        (0usize..16, 0usize..16, typo_strategy()).prop_map(|(slot, from, typo)| GraphOp::Retitle {
+            slot,
+            from,
+            typo
+        }),
+        (
+            0usize..16,
+            proptest::string::string_regex("[a-z]{2,10}( [a-z]{2,8})?").unwrap()
+        )
+            .prop_map(|(slot, title)| GraphOp::Rename { slot, title }),
+        record_strategy().prop_map(|record| GraphOp::Insert { record }),
+        (0usize..16).prop_map(|slot| GraphOp::Remove { slot }),
+    ]
+}
+
+fn title_of(s: &IncrementalSession, index: usize) -> String {
+    let doc = s.doc();
+    doc.select_from(s.candidates().nodes[index], "title")
+        .ok()
+        .and_then(|t| t.first().copied())
+        .and_then(|t| doc.direct_text(t))
+        .unwrap_or_default()
+}
+
+/// The delta an op stands for; `None` would leave fewer than two objects.
+fn graph_delta(op: &GraphOp, s: &IncrementalSession) -> Option<DocumentDelta> {
+    let n = s.candidates().len();
+    let retitle = |index: usize, value: String| DocumentDelta::UpdateText {
+        index,
+        path: "title".into(),
+        occurrence: 0,
+        value,
+    };
+    match op {
+        GraphOp::Retitle { slot, from, typo } => {
+            Some(retitle(slot % n, typo.apply(&title_of(s, from % n))))
+        }
+        GraphOp::Rename { slot, title } => Some(retitle(slot % n, title.clone())),
+        GraphOp::Insert { record } => {
+            let mut xml = format!(
+                "<item><title>{}</title><year>{}</year>",
+                record.title, record.year
+            );
+            for name in &record.names {
+                xml.push_str(&format!("<person><name>{name}</name></person>"));
+            }
+            xml.push_str("</item>");
+            Some(DocumentDelta::InsertXml {
+                parent_path: "/db".into(),
+                xml,
+            })
+        }
+        GraphOp::Remove { slot } => {
+            (n > 2).then_some(DocumentDelta::RemoveObject { index: slot % n })
+        }
+    }
+}
+
+/// (d): the graph the session carried equals a fresh batch build's.
+fn check_carried_graph(
+    dx: &Dogmatix,
+    s: &IncrementalSession,
+    carried: &DetectionResult,
+    theta: f64,
+    context: &str,
+) {
+    let doc = s.doc().clone();
+    let schema = Schema::infer(&doc).expect("non-empty docs infer");
+    let session =
+        DetectionSession::new(&doc, &schema, dx.mapping(), s.rw_type()).expect("session opens");
+    let batch = dx.detect(&session).expect("batch detect runs");
+    assert_eq!(*carried.ods, *batch.ods, "{context}: term ids differ");
+    let got = carried
+        .ods
+        .cached_similar_terms(theta)
+        .expect("the session seeds the carried graph");
+    let want = batch
+        .ods
+        .cached_similar_terms(theta)
+        .expect("the object filter leaves its graph on the set");
+    for t in 0..carried.ods.term_count() {
+        let t = TermId::from_index(t);
+        assert_eq!(
+            got.neighbours(t),
+            want.neighbours(t),
+            "{context}: neighbours of {t:?}"
+        );
+    }
+    for i in 0..carried.ods.len() {
+        assert_eq!(got.support(i), want.support(i), "{context}: support of {i}");
+    }
+    assert_eq!(
+        got.family_sizes(&carried.ods),
+        want.family_sizes(&batch.ods),
+        "{context}: families"
+    );
+    assert_eq!(got.edge_count(), want.edge_count(), "{context}: edges");
+    assert_eq!(carried.f_values, batch.f_values, "{context}: filter values");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(24)))]
+
+    #[test]
+    fn carried_graph_equals_a_fresh_build_after_every_delta(
+        records in dirty_corpus_strategy(),
+        ops in proptest::collection::vec(graph_op_strategy(), 1..8),
+        theta in 0.0f64..1.0,
+    ) {
+        let theta = if theta > 0.0 { theta } else { 1e-3 };
+        for t in [theta, 0.15, 0.55] {
+            let dx = Dogmatix::builder()
+                .add_type("ITEM", ["/db/item"])
+                .theta_tuple(t)
+                .build();
+            let mut s = dx
+                .incremental_session_inferred(build_doc(&records), "ITEM")
+                .expect("session opens");
+            dx.detect_delta(&mut s, &[]).expect("initial run");
+            for (step, op) in ops.iter().enumerate() {
+                let Some(delta) = graph_delta(op, &s) else { continue };
+                let result = dx
+                    .detect_delta(&mut s, std::slice::from_ref(&delta))
+                    .expect("delta applies");
+                check_carried_graph(&dx, &s, &result, t, &format!("θ={t} step {step} {op:?}"));
+            }
         }
     }
 }
