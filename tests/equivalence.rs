@@ -449,3 +449,62 @@ fn edit_kernel_equivalence_on_both_corpora() {
         }
     }
 }
+
+/// The snapshot backend is a drop-in: on both corpora, on one worker
+/// and on several, a warm start from a sealed DXTS v3 snapshot is
+/// bit-identical to the in-memory build.
+#[test]
+fn paged_backend_equivalence_on_both_corpora() {
+    use dogmatix_repro::core::backend::snapshot::SnapshotBackend;
+
+    let cd = {
+        let (doc, _) = dataset1_sized(21, 60);
+        (
+            doc,
+            setup::cd_schema(),
+            setup::cd_mapping(),
+            table4_heuristic(HeuristicExpr::k_closest_descendants(6), 1),
+            setup::CD_TYPE,
+        )
+    };
+    let movie = {
+        let (doc, _) = dataset2_sized(7, 40);
+        let schema = setup::movie_schema(&doc);
+        (
+            doc,
+            schema,
+            setup::movie_mapping(),
+            table4_heuristic(HeuristicExpr::r_distant_descendants(2), 2),
+            setup::MOVIE_TYPE,
+        )
+    };
+    for (tag, (doc, schema, mapping, heuristic, rw_type)) in [("cd", cd), ("movie", movie)] {
+        let path = std::env::temp_dir().join(format!(
+            "dogmatix-equivalence-sealed-{}-{tag}.dxts",
+            std::process::id()
+        ));
+        let build = |backend: Option<SnapshotBackend>, threads: usize| {
+            let mut b = Dogmatix::builder()
+                .mapping(mapping.clone())
+                .heuristic(heuristic.clone())
+                .theta_tuple(setup::THETA_TUPLE)
+                .theta_cand(setup::THETA_CAND)
+                .threads(threads);
+            if let Some(backend) = backend {
+                b = b.index_backend(backend);
+            }
+            b.build().run(&doc, &schema, rw_type).expect("run succeeds")
+        };
+        let reference = build(None, 1);
+        let saved = build(Some(SnapshotBackend::save(&path)), 1);
+        assert_eq!(reference, saved, "{tag}: snapshot save path diverged");
+        for threads in [1usize, 2, 0] {
+            let warm = build(Some(SnapshotBackend::open(&path)), threads);
+            assert_eq!(
+                reference, warm,
+                "{tag}: snapshot warm start on {threads} threads diverged"
+            );
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+}

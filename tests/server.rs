@@ -385,6 +385,12 @@ fn interleaved_probes_and_ingest_agree_with_batch_at_the_served_snapshot() {
         doc_states.push(next);
     }
 
+    // A worker serves one connection until it closes, and the five
+    // clients below outnumber the four workers. The ingest client
+    // connects first so it is sure of a worker; a prober queued behind
+    // the others is served once they stop.
+    let mut ingest_client = Client::connect(handle.addr());
+
     // Probe threads hammer the server while the main thread ingests.
     let stop = Arc::new(AtomicBool::new(false));
     let addr = handle.addr();
@@ -426,7 +432,6 @@ fn interleaved_probes_and_ingest_agree_with_batch_at_the_served_snapshot() {
             .expect("spawn stats prober")
     };
 
-    let mut ingest_client = Client::connect(addr);
     for (i, fragment) in fragments.iter().take(ingests).enumerate() {
         let ack = ingest_client.request(&format!("INGEST insert /discs {fragment}"));
         let want = format!("OK ingested seq={} ", i + 2);
